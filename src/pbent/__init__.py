@@ -32,7 +32,6 @@ from .spectrum import (
     WalshSpectrum,
     analyze,
     b_zero_slice_multiplicities,
-    shift_property_check,
     walsh_full,
     walsh_naive,
     walsh_naive_full,
@@ -41,16 +40,13 @@ from .construct import (
     AnfPoly,
     GluedSpec,
     ScanReport,
-    algebraic_degree,
     anf,
     arrange,
     build_example,
     glue,
-    lagrange_glue_reference,
     predict_regularity,
     scan_coefficients,
     spectral_regularity,
-    support_partition_check,
 )
 from .verify import CriterionResult, run_all, run_criterion
 
@@ -69,7 +65,6 @@ __all__ = [
     "SpectrumReport",
     "ValueShape",
     "WalshSpectrum",
-    "algebraic_degree",
     "analyze",
     "anf",
     "arrange",
@@ -85,7 +80,6 @@ __all__ = [
     "field_to_json",
     "gauss_sum",
     "glue",
-    "lagrange_glue_reference",
     "make_field",
     "match_shape",
     "monomial_bent_criterion",
@@ -95,10 +89,8 @@ __all__ = [
     "run_all",
     "run_criterion",
     "scan_coefficients",
-    "shift_property_check",
     "solve_trace_equation",
     "spectral_regularity",
-    "support_partition_check",
     "walsh_full",
     "walsh_naive",
     "walsh_naive_full",

@@ -3,8 +3,7 @@
 Subcommands: field, analyze, construct, scan, verify-paper. All structured
 output is JSON on stdout; raw spectra can be dumped to CSV on request. Exit
 codes: 0 success, 1 verification failure, 2 input error. Apart from the
-timing block, payloads are deterministic for identical inputs regardless of
-the thread count (--threads, or the BENT_THREADS variable).
+timing block, payloads are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -68,18 +66,6 @@ def _mults_json(mults: dict) -> list:
     return [
         {"zeta": z, "j": j, "count": c} for (z, j), c in sorted(mults.items())
     ]
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("BENT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"BENT_THREADS must be an integer, got {env!r}") from exc
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +174,14 @@ def _cmd_scan(args) -> int:
             f"components: need exactly {ctx.p} entries, got {len(comps)}"
         )
     t0 = time.perf_counter()
-    report = scan_coefficients(
-        comps, confirm_spectrum=args.confirm_spectrum, threads=_threads(args)
-    )
+    report = scan_coefficients(comps, confirm_spectrum=args.confirm_spectrum)
     t1 = time.perf_counter()
     _emit(_report("scan", digest, {"total_ms": int((t1 - t0) * 1000)}, report.to_json()))
     return 1 if report.disagreements else 0
 
 
 def _cmd_verify_paper(args) -> int:
-    results = verify.run_all(threads=_threads(args))
+    results = verify.run_all()
     for res in results:
         print(res.line())
     payload = _report(
@@ -253,10 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vp = sub.add_parser("verify-paper", help="run the built-in verification suite")
     p_vp.add_argument("--json", help="write the detailed JSON report to this file")
     p_vp.set_defaults(fn=_cmd_verify_paper)
-
-    for p in (p_an, p_co, p_sc, p_vp):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (default: BENT_THREADS or all cores)")
     return top
 
 

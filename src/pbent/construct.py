@@ -11,7 +11,6 @@ components all agree.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,40 +136,6 @@ def glue(spec: GluedSpec) -> PFunction:
     )
 
 
-def lagrange_glue_reference(spec: GluedSpec) -> np.ndarray:
-    """Pointwise indicator form of the glueing, kept as a cross-check oracle.
-
-    F(x, y) = (p - 1) * sum_k (prod_{m != k} (y - m)) * f_k(x): the product
-    vanishes unless y = k, and the surviving factor (p-1)! * (p-1) is 1 mod p.
-    """
-    ctx = spec.ctx
-    p = ctx.p
-    tables = [g.to_table().table for g in spec.realized]
-    out = np.empty(p ** (ctx.n + 1), dtype=np.int64)
-    for y in range(p):
-        acc = np.zeros(ctx.size, dtype=np.int64)
-        for k in range(p):
-            w = 1
-            for m in range(p):
-                if m != k:
-                    w = (w * (y - m)) % p
-            acc += w * tables[k]
-        out[y * ctx.size : (y + 1) * ctx.size] = ((p - 1) * acc) % p
-    return out
-
-
-def support_partition_check(spec: GluedSpec) -> bool:
-    """The component Walsh supports must be pairwise disjoint and exhaustive."""
-    masks = []
-    for g in spec.realized:
-        s = walsh_full(g.to_table())
-        masks.append(np.any(s.counts != 0, axis=1))
-    total = np.zeros_like(masks[0], dtype=np.int64)
-    for m in masks:
-        total += m
-    return bool((total == 1).all())
-
-
 # ---------------------------------------------------------------------------
 # algebraic normal form
 
@@ -227,10 +192,6 @@ def anf(f: PFunction) -> AnfPoly:
         arr = np.moveaxis(np.tensordot(vinv, arr, axes=(1, axis)) % p, 0, axis)
     arr.setflags(write=False)
     return AnfPoly(p, m, arr)
-
-
-def algebraic_degree(f: PFunction) -> int:
-    return anf(f).degree
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +271,20 @@ class ScanReport:
         }
 
 
-def scan_coefficients(components, confirm_spectrum: bool = False, threads=None) -> ScanReport:
+def scan_coefficients(components, confirm_spectrum: bool = False) -> ScanReport:
     """Sweep all (p-1)^p scalar tuples, predicting regularity for each.
 
-    With confirm_spectrum the full spectrum of every glued function is also
-    classified and compared; tuples are processed in lexicographic order and
-    results are independent of the worker count.
+    Tuples are processed in lexicographic order. With confirm_spectrum the
+    full spectrum of every glued function is also classified and compared.
     """
     components = tuple(components)
     p = components[0].ctx.p
-    tuples = list(itertools.product(range(1, p), repeat=p))
-
-    def job(c):
+    rows = []
+    for c in itertools.product(range(1, p), repeat=p):
         gs = arrange(components, c)
         pred = predict_regularity(gs)
         spect = spectral_regularity(gs) if confirm_spectrum else None
-        return {"scalars": c, "predicted": pred, "spectral": spect}
-
-    if confirm_spectrum and (threads is None or threads > 1):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(job, tuples))
-    else:
-        rows = [job(c) for c in tuples]
+        rows.append({"scalars": c, "predicted": pred, "spectral": spect})
 
     weakly = sum(1 for r in rows if r["predicted"] == "WeaklyRegular")
     disagreements = sum(

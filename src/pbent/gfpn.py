@@ -146,6 +146,16 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def digit_array(p: int, dim: int) -> np.ndarray:
+    """(p^dim, dim) array: row a holds the base-p digits of a, lowest first."""
+    idx = np.arange(p ** dim, dtype=np.int64)
+    out = np.empty((p ** dim, dim), dtype=np.int64)
+    for i in range(dim):
+        out[:, i] = idx % p
+        idx //= p
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -275,18 +285,10 @@ class FieldCtx:
             out.append(s[0] if s else 0)
         return out
 
-    @property
-    def power_traces(self) -> tuple[int, ...]:
-        return tuple(self._ptraces[: self.n])
-
     @cached_property
     def digits(self) -> np.ndarray:
         """(size, n) array: row a is the coefficient vector of index a."""
-        idx = np.arange(self.size, dtype=np.int64)
-        out = np.empty((self.size, self.n), dtype=np.int64)
-        for i in range(self.n):
-            out[:, i] = idx % self.p
-            idx //= self.p
+        out = digit_array(self.p, self.n)
         out.setflags(write=False)
         return out
 

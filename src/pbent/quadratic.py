@@ -103,12 +103,7 @@ class QuadraticSpec:
         """Vectorized evaluation over the whole field."""
         ctx = self.ctx
         d = ctx.digits
-        vals = np.full(ctx.size, self.constant, dtype=np.int64)
-        for a, i in self.quad_terms:
-            if a == 0:
-                continue
-            m = _term_bilinear_matrix(ctx, a, i)
-            vals += np.einsum("bj,jk,bk->b", d, m, d)
+        vals = np.einsum("bj,jk,bk->b", d, _bilinear_matrix(self), d) + self.constant
         if self.linear:
             lv = np.array(
                 [ctx.trace(ctx.mul(self.linear, ctx.p ** j)) for j in range(ctx.n)],
@@ -138,15 +133,17 @@ class QuadraticSpec:
         return cls(ctx, terms, int(obj.get("linear_index", 0)), int(obj.get("constant", 0)))
 
 
-def _term_bilinear_matrix(ctx: FieldCtx, a: int, i: int) -> np.ndarray:
-    """M with x^T M x = Tr(a * x^(p^i) * x) over digit coordinates."""
-    n = ctx.n
-    m = np.empty((n, n), dtype=np.int64)
-    for j in range(n):
-        aj = ctx.mul(a, ctx.frobenius(ctx.p ** j, i))
-        for k in range(n):
-            m[j, k] = ctx.trace(ctx.mul(aj, ctx.p ** k))
-    return m
+def _bilinear_matrix(spec: QuadraticSpec) -> np.ndarray:
+    """B over F_p with x^T B x = Tr(sum_i a_i x^(p^i) x) on digit coordinates.
+
+    B[j, k] = Tr(alpha_j * sum_i a_i alpha_k^(p^i)) over the power basis: the
+    trace-pairing Gram matrix times the matrix of z -> sum_i a_i z^(p^i).
+    """
+    ctx = spec.ctx
+    coeffs = [0] * ctx.n
+    for a, i in spec.quad_terms:
+        coeffs[i] = ctx.add(coeffs[i], a)
+    return ctx.gram @ linmap_matrix(ctx, coeffs) % ctx.p
 
 
 @dataclass(frozen=True)
@@ -297,19 +294,11 @@ def monomial_spec(ctx: FieldCtx, r: int, c_exponent: int) -> QuadraticSpec:
 def quadratic_form_matrix(spec: QuadraticSpec) -> np.ndarray:
     """Symmetric A over F_p with x^T A x = f(x) minus linear and constant parts.
 
-    Built from B[j, k] = Tr(alpha_j * sum_i a_i alpha_k^(p^i)) over the power
-    basis, then symmetrized with the inverse of 2 (p is odd). rank(A) = n - s.
+    The bilinear matrix B symmetrized with the inverse of 2 (p is odd).
+    rank(A) = n - s.
     """
-    ctx = spec.ctx
-    n, p = ctx.n, ctx.p
-    b = np.zeros((n, n), dtype=np.int64)
-    for k in range(n):
-        img = 0
-        for a, i in spec.quad_terms:
-            if a:
-                img = ctx.add(img, ctx.mul(a, ctx.frobenius(p ** k, i)))
-        for j in range(n):
-            b[j, k] = ctx.trace(ctx.mul(p ** j, img))
+    p = spec.ctx.p
+    b = _bilinear_matrix(spec)
     inv2 = pow(2, p - 2, p)
     return ((b + b.T) * inv2) % p
 

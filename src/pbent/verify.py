@@ -84,28 +84,6 @@ def _example_artifacts(eid: int):
     return gs, f, spec, report
 
 
-def _full_multiplicities(report) -> dict:
-    return dict(report.class_multiplicities)
-
-def _div_p_multiplicities(report, p: int) -> dict | None:
-    mults = report.class_multiplicities
-    if any(c % p for c in mults.values()):
-        return None
-    return {k: c // p for k, c in mults.items()}
-
-
-def _matched_interpretations(eid: int, expected: dict) -> list[str]:
-    """Which reading of the recorded per-class counts reproduces them:
-    the b = (a, 0) slice, the full spectrum divided by p, or both."""
-    _, _, spec, report = _example_artifacts(eid)
-    out = []
-    if b_zero_slice_multiplicities(spec) == expected:
-        out.append("b0_slice")
-    if _div_p_multiplicities(report, spec.p) == expected:
-        out.append("full_div_p")
-    return out
-
-
 _EXPECTED_2 = {("-i", 0): 2187, ("-i", 1): 2268, ("-i", 2): 2106}
 _EXPECTED_3 = {
     ("i", 0): 729,
@@ -124,16 +102,15 @@ _EXPECTED_3 = {
 def _criterion_1() -> tuple[bool, dict]:
     _, f, spec, report = _example_artifacts(2)
     degree = anf(f).degree
-    interpretations = _matched_interpretations(2, _EXPECTED_2)
+    slice_mults = b_zero_slice_multiplicities(spec)
     details = {
         "is_bent": report.is_bent,
         "degree": degree,
         "classification": report.classification,
         "zeta": report.zeta,
         "value_set": sorted(report.class_multiplicities),
-        "slice_multiplicities": _fmt_mults(b_zero_slice_multiplicities(spec)),
+        "slice_multiplicities": _fmt_mults(slice_mults),
         "full_multiplicities": _fmt_mults(report.class_multiplicities),
-        "matched_interpretations": interpretations,
     }
     ok = (
         report.is_bent
@@ -141,25 +118,21 @@ def _criterion_1() -> tuple[bool, dict]:
         and report.classification == "WeaklyRegular"
         and report.zeta == "-i"
         and set(report.class_multiplicities) == set(_EXPECTED_2)
-        and bool(interpretations)
+        and slice_mults == _EXPECTED_2
     )
     return ok, details
 
 
 def _criterion_2() -> tuple[bool, dict]:
     _, _, spec, report = _example_artifacts(3)
-    interp_1 = _matched_interpretations(2, _EXPECTED_2)
-    interp_3 = _matched_interpretations(3, _EXPECTED_3)
-    shared = [i for i in interp_3 if i in interp_1]
+    slice_mults = b_zero_slice_multiplicities(spec)
     details = {
         "classification": report.classification,
         "value_set": sorted(report.class_multiplicities),
-        "slice_multiplicities": _fmt_mults(b_zero_slice_multiplicities(spec)),
+        "slice_multiplicities": _fmt_mults(slice_mults),
         "full_multiplicities": _fmt_mults(report.class_multiplicities),
-        "matched_interpretations": interp_3,
-        "shared_with_criterion_1": shared,
     }
-    ok = report.classification == "NonWeaklyRegular" and bool(shared)
+    ok = report.classification == "NonWeaklyRegular" and slice_mults == _EXPECTED_3
     return ok, details
 
 
@@ -243,10 +216,10 @@ def _criterion_5() -> tuple[bool, dict]:
     return not disagreements, {"cases": cases, "disagreements": disagreements}
 
 
-def _criterion_6(threads=None) -> tuple[bool, dict]:
+def _criterion_6() -> tuple[bool, dict]:
     ctx = make_field(3, 4)
     g = binomial_spec(ctx, 2, 1, "plus")
-    report = scan_coefficients((g, g, g), confirm_spectrum=True, threads=threads)
+    report = scan_coefficients((g, g, g), confirm_spectrum=True)
     expected = (3 - 1) ** 3 // 2 ** (3 - 1)
     details = {
         "weakly_regular": report.weakly_regular,
@@ -263,10 +236,10 @@ def _criterion_6(threads=None) -> tuple[bool, dict]:
     return ok, details
 
 
-def _criterion_7(threads=None) -> tuple[bool, dict]:
+def _criterion_7() -> tuple[bool, dict]:
     ctx = make_field(3, 5)
     g = binomial_spec(ctx, 2, 1, "minus")
-    report = scan_coefficients((g, g, g), confirm_spectrum=True, threads=threads)
+    report = scan_coefficients((g, g, g), confirm_spectrum=True)
     details = {
         "weakly_regular": report.weakly_regular,
         "non_weakly_regular": report.non_weakly_regular,
@@ -433,15 +406,12 @@ def _fmt_mults(mults: dict) -> dict:
     return {f"{z} j={j}": c for (z, j), c in sorted(mults.items())}
 
 
-def run_criterion(number: int, threads=None) -> CriterionResult:
+def run_criterion(number: int) -> CriterionResult:
     entry = next(e for e in _CRITERIA if e[0] == number)
     num, name, fn, limit = entry
     start = time.perf_counter()
     try:
-        if num in (6, 7):
-            passed, details = fn(threads=threads)
-        else:
-            passed, details = fn()
+        passed, details = fn()
         error = None
     except Exception as exc:  # noqa: BLE001 - verdicts must not crash the suite
         passed, details, error = False, {}, f"{type(exc).__name__}: {exc}"
@@ -452,5 +422,5 @@ def run_criterion(number: int, threads=None) -> CriterionResult:
     return CriterionResult(num, name, passed, seconds, limit, details, error)
 
 
-def run_all(threads=None) -> list[CriterionResult]:
-    return [run_criterion(num, threads=threads) for num, *_ in _CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [run_criterion(num) for num, *_ in _CRITERIA]

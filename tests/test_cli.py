@@ -170,29 +170,19 @@ def test_scan_counts(tmp_path, capsys):
     assert res["spectra_checked"] is False
     assert len(res["rows"]) == 8
 
-
-def test_scan_payload_thread_invariant(tmp_path, capsys, monkeypatch):
-    src = tmp_path / "template.json"
-    src.write_text(json.dumps(SCAN_TEMPLATE))
-
     runs = []
-    for argv in (
-        ["scan", str(src), "--confirm-spectrum", "--threads", "1"],
-        ["scan", str(src), "--confirm-spectrum", "--threads", "4"],
-    ):
-        rc, out, _ = run(capsys, argv)
+    for _ in range(2):
+        rc, out, _ = run(capsys, ["scan", str(src), "--confirm-spectrum"])
         assert rc == 0
         runs.append(strip_timing(payload(out)))
-    monkeypatch.setenv("BENT_THREADS", "2")
-    rc, out, _ = run(capsys, ["scan", str(src), "--confirm-spectrum"])
-    assert rc == 0
-    runs.append(strip_timing(payload(out)))
-
-    assert runs[0] == runs[1] == runs[2]
-    assert all(r["spectral"] is not None for r in runs[0]["result"]["rows"])
+    assert runs[0] == runs[1]
+    res = runs[0]["result"]
+    assert res["spectra_checked"] is True
+    assert res["disagreements"] == 0
+    assert all(r["spectral"] is not None for r in res["rows"])
 
 
-def test_scan_rejects_bad_templates(tmp_path, capsys, monkeypatch):
+def test_scan_rejects_bad_templates(tmp_path, capsys):
     src = tmp_path / "template.json"
     src.write_text(json.dumps({"p": 3, "n": 4}))
     rc, _, err = run(capsys, ["scan", str(src)])
@@ -202,11 +192,6 @@ def test_scan_rejects_bad_templates(tmp_path, capsys, monkeypatch):
     src.write_text(json.dumps(short))
     rc, _, err = run(capsys, ["scan", str(src)])
     assert rc == 2 and "exactly 3" in err
-
-    src.write_text(json.dumps(SCAN_TEMPLATE))
-    monkeypatch.setenv("BENT_THREADS", "lots")
-    rc, _, err = run(capsys, ["scan", str(src)])
-    assert rc == 2 and "BENT_THREADS" in err
 
 
 def test_verify_paper_reports_every_criterion(tmp_path, capsys):

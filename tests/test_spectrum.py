@@ -8,13 +8,15 @@ from pbent.spectrum import (
     PFunction,
     ShapeMismatch,
     WalshSpectrum,
+    _check_parseval,
     analyze,
     b_zero_slice_multiplicities,
-    shift_property_check,
     walsh_full,
     walsh_naive,
     walsh_naive_full,
 )
+
+from oracles import shift_property_check
 
 
 def _random_field_function(ctx, rng):
@@ -130,6 +132,16 @@ def test_shift_property():
 def test_spectrum_container_validation():
     with pytest.raises(ValueError):
         WalshSpectrum(3, 2, np.zeros((9, 4), dtype=np.int64))
+
+
+def test_parseval_check_sums_exactly():
+    ctx = make_field(3, 2)
+    f = PFunction.from_field_table(ctx, np.zeros(9, dtype=int))
+    counts = walsh_full(f).counts.copy()
+    # four rows with |W|^2 = 2^62 add 2^64: an int64 total wraps back to 3^4
+    counts[1:5, 0] = 2 ** 31
+    with pytest.raises(RuntimeError, match="Parseval"):
+        _check_parseval(WalshSpectrum(3, 2, counts))
 
 
 def test_analyze_zero_function():
