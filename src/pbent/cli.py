@@ -2,7 +2,8 @@
 
 Subcommands: field, analyze, construct, scan, verify-paper. All structured
 output is JSON on stdout; raw spectra can be dumped to CSV on request. Exit
-codes: 0 success, 1 verification failure, 2 input error. Apart from the
+codes: 0 success, 1 verification failure, 2 input error, 3 internal error
+(a fault in the program, reported as one line on stderr). Apart from the
 timing block, payloads are deterministic for identical inputs.
 """
 
@@ -104,15 +105,16 @@ def _cmd_analyze(args) -> int:
     f = _function_from_obj(obj)
     t1 = time.perf_counter()
     spec = walsh_full(f)
-    report = analyze(spec)
     t2 = time.perf_counter()
+    report = analyze(spec)
     result = report.to_json()
-    result["algebraic_degree"] = anf(f).degree
     if f.kind == "product" and report.is_bent:
         result["b0_slice_multiplicities"] = _mults_json(
             b_zero_slice_multiplicities(spec)
         )
     t3 = time.perf_counter()
+    result["algebraic_degree"] = anf(f).degree
+    t4 = time.perf_counter()
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("b_index," + ",".join(f"count_{k}" for k in range(f.p)) + "\n")
@@ -123,6 +125,7 @@ def _cmd_analyze(args) -> int:
         "build_ms": int((t1 - t0) * 1000),
         "transform_ms": int((t2 - t1) * 1000),
         "classify_ms": int((t3 - t2) * 1000),
+        "anf_ms": int((t4 - t3) * 1000),
     }
     _emit(_report("analyze", digest, timing, result))
     return 0
@@ -247,6 +250,10 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - a fault must not look like exit 1
+        msg = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

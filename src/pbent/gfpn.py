@@ -94,15 +94,21 @@ def _psub(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([v % p for v in out])
 
 
+def _monic(a: list[int], p: int) -> list[int]:
+    if not a:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [(v * inv) % p for v in a]
+
+
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd; each divisor is made monic first, as _pmod requires."""
     a = _trim([v % p for v in a])
     b = _trim([v % p for v in b])
     while b:
+        b = _monic(b, p)
         a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(v * inv) % p for v in a]
-    return a
+    return _monic(a, p)
 
 
 def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:

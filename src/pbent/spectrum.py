@@ -272,24 +272,42 @@ class SpectrumReport:
         }
 
 
-def _classify_rows(p: int, rows, mag_exponent: int):
-    """Match each nonzero count row; returns (shapes, zeta set)."""
+def _classify_rows(p: int, rows: np.ndarray, mag_exponent: int):
+    """Match each distinct count row once; returns (shapes, labels).
+
+    shapes[k] is the shape of the k-th distinct row in order of first
+    occurrence (None for the zero row), and labels[i] = k for every row i
+    equal to it. Each pass of the peel loop classifies the first unlabelled
+    row and labels every row equal to it in one vectorised comparison. On
+    canonical rows a row is zero, one of the 2p admissible shapes, or raises,
+    so the loop runs at most 2p + 2 times whatever the number of rows.
+    """
+    labels = np.full(len(rows), -1, dtype=np.intp)
     shapes: list[ValueShape | None] = []
-    zetas = set()
-    for row in rows:
+    first = 0
+    while first >= 0:
+        row = rows[first]
         w = CycInt(p, row)
-        if w.is_zero():
-            shapes.append(None)
-            continue
         shape = match_shape(w, mag_exponent)
-        if shape is None:
+        if shape is None and not w.is_zero():
             raise ShapeMismatch(
                 f"coefficient {list(row)} has no admissible shape at "
                 f"magnitude exponent {mag_exponent}"
             )
+        labels[(rows == row).all(axis=1)] = len(shapes)
         shapes.append(shape)
-        zetas.add(shape.zeta)
-    return shapes, zetas
+        first = int(labels.argmin()) if labels.min() < 0 else -1
+    return shapes, labels
+
+
+def _multiplicities(shapes, labels) -> dict:
+    """(zeta, j) -> number of rows, keyed in order of first occurrence."""
+    mults: dict = {}
+    for s, count in zip(shapes, np.bincount(labels, minlength=len(shapes)).tolist()):
+        if s is not None:
+            key = (s.zeta, s.j)
+            mults[key] = mults.get(key, 0) + count
+    return mults
 
 
 def analyze(spec: WalshSpectrum) -> SpectrumReport:
@@ -320,13 +338,11 @@ def analyze(spec: WalshSpectrum) -> SpectrumReport:
         )
 
     mag = dim if is_bent else dim + 1
-    shapes, zetas = _classify_rows(p, spec.counts, mag)
-    dual = [None if s is None else s.j for s in shapes]
-    mults: dict = {}
-    for s in shapes:
-        if s is not None:
-            key = (s.zeta, s.j)
-            mults[key] = mults.get(key, 0) + 1
+    shapes, labels = _classify_rows(p, spec.counts, mag)
+    js = np.array([None if s is None else s.j for s in shapes], dtype=object)
+    dual = js[labels].tolist()
+    mults = _multiplicities(shapes, labels)
+    zetas = {s.zeta for s in shapes if s is not None}
 
     if zetas == {"1"}:
         classification, zeta = "Regular", "1"
@@ -356,11 +372,7 @@ def b_zero_slice_multiplicities(spec: WalshSpectrum) -> dict:
     """
     p = spec.p
     slice_rows = spec.counts[: p ** (spec.dim - 1)]
-    shapes, _ = _classify_rows(p, slice_rows, spec.dim)
-    mults: dict = {}
-    for s in shapes:
-        if s is None:
-            raise ShapeMismatch("b = 0 slice of a bent spectrum has a zero entry")
-        key = (s.zeta, s.j)
-        mults[key] = mults.get(key, 0) + 1
-    return mults
+    shapes, labels = _classify_rows(p, slice_rows, spec.dim)
+    if None in shapes:
+        raise ShapeMismatch("b = 0 slice of a bent spectrum has a zero entry")
+    return _multiplicities(shapes, labels)

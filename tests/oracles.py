@@ -1,9 +1,88 @@
 """Independent reference checks used only by the test suite."""
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
 from pbent.construct import GluedSpec
-from pbent.spectrum import PFunction, walsh_full
+from pbent.cyclotomic import CycInt, match_shape
+from pbent.spectrum import PFunction, ShapeMismatch, walsh_full
+
+
+def monic_polynomials(p: int, n: int):
+    """Every monic polynomial of degree n over F_p, constant term first, in
+    order of the base-p encoding of (c_0, ..., c_{n-1})."""
+    for digits in product(range(p), repeat=n):
+        yield tuple(reversed(digits)) + (1,)
+
+
+@lru_cache(maxsize=None)
+def reducible_monics(p: int, n: int) -> frozenset:
+    """Monic degree-n polynomials over F_p that factor, by brute force.
+
+    Every product of a monic factor of degree d with one of degree n - d,
+    1 <= d <= n/2, is collected; no division or gcd is involved.
+    """
+    out = set()
+    for d in range(1, n // 2 + 1):
+        for a in monic_polynomials(p, d):
+            for b in monic_polynomials(p, n - d):
+                prod = [0] * (n + 1)
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        prod[i + j] = (prod[i + j] + ai * bj) % p
+                out.add(tuple(prod))
+    return frozenset(out)
+
+
+def classify_rows_per_row(p: int, rows, mag_exponent: int):
+    """One CycInt and one match_shape per row; returns (shapes, zeta set)."""
+    shapes = []
+    zetas = set()
+    for row in rows:
+        w = CycInt(p, row)
+        if w.is_zero():
+            shapes.append(None)
+            continue
+        shape = match_shape(w, mag_exponent)
+        if shape is None:
+            raise ShapeMismatch(
+                f"coefficient {list(row)} has no admissible shape at "
+                f"magnitude exponent {mag_exponent}"
+            )
+        shapes.append(shape)
+        zetas.add(shape.zeta)
+    return shapes, zetas
+
+
+def analyze_per_row(spec, mag_exponent: int) -> tuple:
+    """(classification, zeta, dual, class_multiplicities) row by row."""
+    shapes, zetas = classify_rows_per_row(spec.p, spec.counts, mag_exponent)
+    dual = [None if s is None else s.j for s in shapes]
+    mults: dict = {}
+    for s in shapes:
+        if s is not None:
+            key = (s.zeta, s.j)
+            mults[key] = mults.get(key, 0) + 1
+    if zetas == {"1"}:
+        return "Regular", "1", dual, mults
+    if len(zetas) == 1:
+        return "WeaklyRegular", zetas.pop(), dual, mults
+    return "NonWeaklyRegular", None, dual, mults
+
+
+def slice_per_row(spec) -> dict:
+    """b = 0 slice multiplicities row by row."""
+    p = spec.p
+    shapes, _ = classify_rows_per_row(p, spec.counts[: p ** (spec.dim - 1)], spec.dim)
+    mults: dict = {}
+    for s in shapes:
+        if s is None:
+            raise ShapeMismatch("b = 0 slice of a bent spectrum has a zero entry")
+        key = (s.zeta, s.j)
+        mults[key] = mults.get(key, 0) + 1
+    return mults
 
 
 def lagrange_glue_reference(spec: GluedSpec) -> np.ndarray:

@@ -41,12 +41,34 @@ def test_field_rejects_reducible_modulus(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_field_accepts_irreducible_modulus(capsys):
+    # x^4 + x^2 + 2 is irreducible over F_3
+    rc, out, err = run(capsys, ["field", "--p", "3", "--n", "4", "--modulus", "2,0,1,0,1"])
+    assert rc == 0 and err == ""
+    assert payload(out)["result"]["modulus"] == [2, 0, 1, 0, 1]
+
+
+def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(_f):
+        raise RuntimeError("Parseval identity failed; transform is broken")
+
+    monkeypatch.setattr(cli, "walsh_full", broken)
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"p": 3, "n": 2, "quad_terms": [{"a_index": 1, "i": 0}]}))
+    rc, out, err = run(capsys, ["analyze", str(src)])
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: Parseval identity failed; transform is broken\n"
+
+
 def test_analyze_quadratic_spec(tmp_path, capsys):
     src = tmp_path / "trace_square.json"
     src.write_text(json.dumps({"p": 3, "n": 2, "quad_terms": [{"a_index": 1, "i": 0}]}))
     rc, out, _ = run(capsys, ["analyze", str(src)])
     assert rc == 0
-    res = payload(out)["result"]
+    rep = payload(out)
+    assert set(rep["timing_ms"]) == {"build_ms", "transform_ms", "classify_ms", "anf_ms"}
+    res = rep["result"]
     assert res["is_bent"] is True
     assert res["classification"] == "Regular"
     assert res["algebraic_degree"] == 2

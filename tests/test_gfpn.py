@@ -17,6 +17,9 @@ from pbent.gfpn import (
     rref,
     solve_trace_equation,
 )
+from pbent.gfpn import _is_irreducible
+
+from oracles import monic_polynomials, reducible_monics
 
 
 def test_canonical_modulus_f9():
@@ -27,6 +30,51 @@ def test_canonical_modulus_f9():
 def test_canonical_modulus_f27():
     # x^3 + 2x + 1 beats every cubic with smaller coefficient encoding
     assert make_field(3, 3).modulus == (1, 2, 0, 1)
+
+
+def _irreducible_count(p, n):
+    """Gauss's formula: (1/n) sum_{d | n} mu(d) p^(n/d)."""
+
+    def mu(d):
+        out, m, q = 1, d, 2
+        while q * q <= m:
+            if m % q == 0:
+                m //= q
+                if m % q == 0:
+                    return 0
+                out = -out
+            q += 1
+        return -out if m > 1 else out
+
+    return sum(mu(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("p, max_n", [(3, 6), (5, 4), (7, 3)])
+def test_rabin_matches_brute_force_factor_search(p, max_n):
+    for n in range(1, max_n + 1):
+        reducible = reducible_monics(p, n)
+        irreducible = [f for f in monic_polynomials(p, n) if f not in reducible]
+        assert len(irreducible) == _irreducible_count(p, n)
+        for f in monic_polynomials(p, n):
+            assert _is_irreducible(list(f), p) == (f not in reducible), f
+        if n >= 2:
+            # the canonical modulus: smallest encoding with a nonzero constant
+            assert make_field(p, n).modulus == next(f for f in irreducible if f[0])
+
+
+def test_canonical_modulus_f3_12():
+    # the smallest-encoding irreducible of degree 12 is x^12 + x^2 + 2;
+    # x^12 + x^2 + 1 comes first but is reducible
+    ctx = make_field(3, 12)
+    assert ctx.modulus == (2, 0, 1) + (0,) * 9 + (1,)
+    assert ctx.trace(ctx.element_from_int(1)) == 0  # Tr(1) = 12 mod 3
+    assert any(ctx.trace(3 ** j) for j in range(12))  # x^j, j < 12
+
+
+def test_explicit_irreducible_accepted():
+    # x^4 + x^2 + 2 is irreducible over F_3
+    assert make_field(3, 4, (2, 0, 1, 0, 1)).modulus == (2, 0, 1, 0, 1)
+    assert (2, 0, 1, 0, 1) not in reducible_monics(3, 4)
 
 
 def test_explicit_reducible_rejected():

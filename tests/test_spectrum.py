@@ -16,7 +16,7 @@ from pbent.spectrum import (
     walsh_naive_full,
 )
 
-from oracles import shift_property_check
+from oracles import analyze_per_row, classify_rows_per_row, shift_property_check, slice_per_row
 
 
 def _random_field_function(ctx, rng):
@@ -214,6 +214,99 @@ def test_slice_multiplicities_need_a_bent_product():
     f = PFunction.from_product_tables(ctx, [np.zeros(9, dtype=int)] * 3)
     with pytest.raises(ShapeMismatch):
         b_zero_slice_multiplicities(walsh_full(f))
+
+
+def _glued(p, scalars):
+    """p copies of the near-bent Tr(x^2 + x^(p+1)) on F_{p^2}, glued."""
+    from pbent.construct import arrange, glue
+
+    return glue(arrange((binomial_spec(make_field(p, 2), 0, 1, "plus"),) * p, scalars))
+
+
+def _example(eid):
+    from pbent.construct import build_example, glue
+
+    return glue(build_example(eid))
+
+
+WR, NWR = {"Regular", "WeaklyRegular"}, {"NonWeaklyRegular"}
+
+# (function builder, admissible classifications); None for near-bent inputs
+CLASSIFY_CASES = {
+    "bent-quadratic-3": (lambda: QuadraticSpec(make_field(3, 3), ((1, 0),)).to_table(), WR),
+    "bent-quadratic-5": (lambda: QuadraticSpec(make_field(5, 2), ((1, 0),)).to_table(), WR),
+    "bent-quadratic-7": (lambda: QuadraticSpec(make_field(7, 2), ((1, 0),)).to_table(), WR),
+    "near-bent-3": (lambda: binomial_spec(make_field(3, 5), 2, 1, "minus").to_table(), None),
+    "near-bent-5": (lambda: binomial_spec(make_field(5, 2), 0, 1, "plus").to_table(), None),
+    "near-bent-7": (lambda: binomial_spec(make_field(7, 2), 0, 1, "plus").to_table(), None),
+    "glued-wr-3": (lambda: _example(2), WR),
+    "glued-nwr-3": (lambda: _example(3), NWR),
+    "glued-wr-5": (lambda: _glued(5, (1, 1, 1, 1, 1)), WR),
+    "glued-nwr-5": (lambda: _glued(5, (1, 1, 1, 1, 2)), NWR),
+    "glued-wr-7": (lambda: _glued(7, (1,) * 7), WR),
+    "glued-nwr-7": (lambda: _glued(7, (1,) * 6 + (3,)), NWR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFY_CASES))
+def test_classification_matches_per_row_oracle(case):
+    build, expected = CLASSIFY_CASES[case]
+    f = build()
+    spec = walsh_full(f)
+    rep = analyze(spec)
+    assert rep.is_bent == (expected is not None)
+    assert rep.is_near_bent == (expected is None)
+    if expected is not None:
+        assert rep.classification in expected
+    mag = spec.dim if rep.is_bent else spec.dim + 1
+    classification, zeta, dual, mults = analyze_per_row(spec, mag)
+    assert (rep.classification, rep.zeta, rep.dual) == (classification, zeta, dual)
+    assert list(rep.class_multiplicities.items()) == list(mults.items())
+    if f.kind == "product":
+        assert list(b_zero_slice_multiplicities(spec).items()) == list(
+            slice_per_row(spec).items()
+        )
+
+
+def _oracle_error(fn, *args) -> str:
+    with pytest.raises(ShapeMismatch) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_unmatched_row_raises_the_oracle_message():
+    from pbent.spectrum import _classify_rows
+
+    spec = walsh_full(_glued(5, (1, 1, 1, 1, 2)))
+    counts = spec.counts.copy()
+    counts[20] += [1, 0, 0, 0, 0]  # the b = 0 slice is rows 0..24
+    broken = WalshSpectrum(spec.p, spec.dim, counts)
+    expected = _oracle_error(slice_per_row, broken)
+    assert "no admissible shape" in expected
+    assert _oracle_error(b_zero_slice_multiplicities, broken) == expected
+    assert _oracle_error(_classify_rows, 5, counts, spec.dim) == _oracle_error(
+        classify_rows_per_row, 5, counts, spec.dim
+    )
+
+
+def test_slice_of_a_random_table_stops_at_the_first_unmatched_row(monkeypatch):
+    import pbent.spectrum as spectrum
+
+    ctx = make_field(3, 4)
+    rng = np.random.default_rng(3)
+    f = PFunction.from_product_tables(ctx, [rng.integers(3, size=ctx.size) for _ in range(3)])
+    spec = walsh_full(f)
+    expected = _oracle_error(slice_per_row, spec)
+
+    calls = []
+
+    def counting_match(w, mag):
+        calls.append(w)
+        return match_shape(w, mag)
+
+    monkeypatch.setattr(spectrum, "match_shape", counting_match)
+    assert _oracle_error(b_zero_slice_multiplicities, spec) == expected
+    assert len(calls) <= 2 * 3 + 2 < ctx.size
 
 
 def test_report_json_shape():
