@@ -14,7 +14,7 @@ term first with the leading coefficient 1 included.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -335,6 +335,23 @@ class FieldCtx:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def _linmap_basis(self) -> np.ndarray:
+        """(n^2, n^2) matrix: row i*n + k is the flattened matrix of
+        z -> x^k * z^(p^i), that is C^k F^i mod p with C the companion
+        matrix of the modulus (multiplication by x) and F = _frob_matrix."""
+        p, n = self.p, self.n
+        comp = np.eye(n, k=-1, dtype=np.int64)
+        comp[:, -1] = [-c % p for c in self.modulus[:-1]]
+        cpow, fpow = [np.eye(n, dtype=np.int64)], [np.eye(n, dtype=np.int64)]
+        for _ in range(n - 1):
+            cpow.append(comp @ cpow[-1] % p)
+            fpow.append(self._frob_matrix @ fpow[-1] % p)
+        out = np.einsum("kab,ibc->ikac", np.array(cpow), np.array(fpow)) % p
+        out = out.reshape(n * n, n * n)
+        out.setflags(write=False)
+        return out
+
     @lru_cache(maxsize=None)
     def _frob_perm(self, i: int) -> np.ndarray:
         """Index permutation a -> a^(p^i)."""
@@ -358,32 +375,48 @@ class FieldCtx:
 # linear algebra over F_p (matrices are int64 numpy arrays with entries mod p)
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots = []
-    r = 0
+def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce every matrix of an (N, rows, cols) stack in place; returns it
+    and the (N, cols) mask of pivot columns. Per column, each matrix takes its
+    first nonzero row at or below its next pivot row, swaps it up, scales it
+    to 1 and clears the column in every other row.
+    """
+    count, rows, cols = m.shape
+    inverse = np.array([pow(v, p - 2, p) for v in range(p)], dtype=np.int64)
+    next_row = np.zeros(count, dtype=np.int64)
+    pivots = np.zeros((count, cols), dtype=bool)
     for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        cand = (m[:, :, c] != 0) & (np.arange(rows) >= next_row[:, None])
+        sel = np.nonzero(cand.any(axis=1))[0]
+        if sel.size == 0:
             continue
-        k = r + int(nz[0])
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
+        r, k = next_row[sel], cand[sel].argmax(axis=1)
+        top = m[sel, k]
+        m[sel, k] = m[sel, r]
+        top = top * inverse[top[:, c]][:, None] % p
+        m[sel, r] = top
+        factor = m[sel, :, c]
+        factor[np.arange(sel.size), r] = 0
+        m[sel] = (m[sel] - factor[:, :, None] * top[:, None, :]) % p
+        pivots[sel, c] = True
+        next_row[sel] += 1
     return m, pivots
 
 
-def rank(mat: np.ndarray, p: int) -> int:
-    return len(rref(mat, p)[1])
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and the list of pivot columns of one matrix:
+    the N = 1 case of the stack elimination that rank runs on whole stacks."""
+    m, pivots = _rref_stack(np.array(mat, dtype=np.int64)[None] % p, p)
+    return m[0], np.nonzero(pivots[0])[0].tolist()
+
+
+def rank(mat: np.ndarray, p: int):
+    """Rank over F_p of one (rows, cols) matrix, or the array of ranks of a
+    (..., rows, cols) stack, from one elimination over the whole stack."""
+    m = np.array(mat, dtype=np.int64) % p
+    stack = m.reshape((prod(m.shape[:-2]),) + m.shape[-2:])
+    ranks = _rref_stack(stack, p)[1].sum(axis=1)
+    return int(ranks[0]) if m.ndim == 2 else ranks.reshape(m.shape[:-2])
 
 
 def kernel(mat: np.ndarray, p: int) -> list[np.ndarray]:
@@ -394,13 +427,11 @@ def kernel(mat: np.ndarray, p: int) -> list[np.ndarray]:
     """
     m, pivots = rref(mat, p)
     cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(cols) if c not in pivots):
         v = np.zeros(cols, dtype=np.int64)
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-m[r, f]) % p
+        v[pivots] = -m[: len(pivots), f] % p
         basis.append(v)
     return basis
 
@@ -417,19 +448,17 @@ def invert_matrix(mat: np.ndarray, p: int) -> np.ndarray:
 def linmap_matrix(ctx: FieldCtx, coeffs) -> np.ndarray:
     """Matrix over F_p of the linearized map z -> sum_i coeffs[i] * z^(p^i).
 
-    coeffs is a sequence of element indices, position i multiplying z^(p^i).
-    Columns are the images of the basis powers x^j.
+    coeffs holds element indices, position i multiplying z^(p^i); columns
+    are the images of the basis powers x^j. A (..., k) array of coefficient
+    rows gives the (..., n, n) stack of their matrices. The map is linear in
+    the base-p digits of the coefficients, so it is one product of the digits
+    with ctx._linmap_basis.
     """
-    n = ctx.n
-    m = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        alpha = ctx.p ** j
-        img = 0
-        for i, c in enumerate(coeffs):
-            if c:
-                img = ctx.add(img, ctx.mul(c, ctx.frobenius(alpha, i)))
-        m[:, j] = ctx.decode(img)
-    return m
+    n, p = ctx.n, ctx.p
+    c = np.asarray(coeffs, dtype=np.int64)
+    digits = (c[..., None] // ctx.index_weights % p).reshape(c.shape[:-1] + (-1,))
+    basis = ctx._linmap_basis.reshape(n, n, n * n)[np.arange(c.shape[-1]) % n]
+    return (digits @ basis.reshape(-1, n * n) % p).reshape(c.shape[:-1] + (n, n))
 
 
 def solve_trace_equation(ctx: FieldCtx, beta: int, target: int) -> int:

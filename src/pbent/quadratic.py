@@ -417,14 +417,8 @@ def circulant_delta(p: int, n: int, r: int, t: int) -> int:
         raise ValueError(f"(r, t) = ({r}, {t}) is not admissible for n = {n}")
     m = _multiplicative_order(p, n)
     fld = make_field(p, m)
-    u = None
-    primes = _prime_factors(n)
-    for a in range(1, fld.size):
-        if fld.pow(a, n) == 1 and all(fld.pow(a, n // q) != 1 for q in primes):
-            u = a
-            break
-    if u is None:
-        raise RootOfUnityNotFound(f"no element of order {n} in F_{p}^{m}")
+    # m is the order of p mod n, so n divides p^m - 1
+    u = fld.pow(primitive_element(fld), (fld.size - 1) // n)
     lam0 = fld.sub(fld.pow(u, 0), fld.pow(u, 0))
     if lam0 != 0:
         raise RuntimeError("zero eigenvalue check failed")

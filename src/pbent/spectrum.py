@@ -291,7 +291,7 @@ def _classify_rows(p: int, rows: np.ndarray, mag_exponent: int):
         shape = match_shape(w, mag_exponent)
         if shape is None and not w.is_zero():
             raise ShapeMismatch(
-                f"coefficient {list(row)} has no admissible shape at "
+                f"coefficient {row.tolist()} has no admissible shape at "
                 f"magnitude exponent {mag_exponent}"
             )
         labels[(rows == row).all(axis=1)] = len(shapes)

@@ -183,16 +183,20 @@ def _criterion_4() -> tuple[bool, dict]:
     for p, nmax in ((3, 6), (5, 4)):
         for n in range(1, nmax + 1):
             ctx = make_field(p, n)
+            w = ctx.index_weights
+            a = np.arange(1, ctx.size)
             for r in range(n):
+                # a at position 0, plus a^(p^r) added digit-wise at 2r mod n;
+                # the digits of a^(p^r) are those of a times the matrix of z^(p^r)
                 e = (2 * r) % n
-                for a in range(1, ctx.size):
-                    coeffs = [0] * n
-                    coeffs[0] = a
-                    coeffs[e] = ctx.add(coeffs[e], ctx.frobenius(a, r))
-                    s = n - rank(linmap_matrix(ctx, coeffs), p)
-                    cases += 1
-                    if s == 1:
-                        exceptions.append({"p": p, "n": n, "r": r, "a": a})
+                frob_r = linmap_matrix(ctx, np.eye(n, dtype=np.int64)[r])
+                frob = a[:, None] // w % p @ frob_r.T
+                rows = np.zeros((a.size, n), dtype=np.int64)
+                rows[:, 0] = a
+                rows[:, e] = (rows[:, e, None] // w + frob) % p @ w
+                s = n - rank(linmap_matrix(ctx, rows), p)
+                cases += a.size
+                exceptions += [{"p": p, "n": n, "r": r, "a": int(x)} for x in a[s == 1]]
     return not exceptions, {"cases": cases, "exceptions": exceptions}
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from pbent.construct import GluedSpec
 from pbent.cyclotomic import CycInt, match_shape
+from pbent.gfpn import FieldCtx
 from pbent.spectrum import PFunction, ShapeMismatch, walsh_full
 
 
@@ -48,7 +49,7 @@ def classify_rows_per_row(p: int, rows, mag_exponent: int):
         shape = match_shape(w, mag_exponent)
         if shape is None:
             raise ShapeMismatch(
-                f"coefficient {list(row)} has no admissible shape at "
+                f"coefficient {row.tolist()} has no admissible shape at "
                 f"magnitude exponent {mag_exponent}"
             )
         shapes.append(shape)
@@ -138,3 +139,44 @@ def shift_property_check(f: PFunction, c: int) -> bool:
         if not np.array_equal(moved.counts[b], base.counts[_domain_sub(f, b, c)]):
             return False
     return True
+
+
+def linmap_matrix_per_element(ctx: FieldCtx, coeffs) -> np.ndarray:
+    """Matrix of z -> sum_i coeffs[i] * z^(p^i), one ctx.mul per entry.
+
+    Columns are the images of the basis powers x^j.
+    """
+    n = ctx.n
+    m = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        alpha = ctx.p ** j
+        img = 0
+        for i, c in enumerate(coeffs):
+            if c:
+                img = ctx.add(img, ctx.mul(c, ctx.frobenius(alpha, i)))
+        m[:, j] = ctx.decode(img)
+    return m
+
+
+def rref_per_row(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot columns of one matrix, row by row."""
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            m[[r, k]] = m[[k, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots

@@ -19,7 +19,14 @@ from pbent.gfpn import (
 )
 from pbent.gfpn import _is_irreducible
 
-from oracles import monic_polynomials, reducible_monics
+from oracles import (
+    linmap_matrix_per_element,
+    monic_polynomials,
+    reducible_monics,
+    rref_per_row,
+)
+
+FIELDS = [(p, n) for p, max_n in ((3, 6), (5, 4), (7, 3)) for n in range(1, max_n + 1)]
 
 
 def test_canonical_modulus_f9():
@@ -278,3 +285,54 @@ def test_json_roundtrip():
     restored = field_from_json(obj)
     assert restored == ctx
     assert hash(restored) == hash(ctx)
+
+
+@pytest.mark.parametrize("p, n", FIELDS)
+def test_linmap_matrix_matches_per_element_oracle(p, n):
+    ctx = make_field(p, n)
+    rng = np.random.default_rng(1000 * p + n)
+    coeffs = rng.integers(0, ctx.size, size=(200, n))
+    stacked = linmap_matrix(ctx, coeffs)
+    assert stacked.shape == (200, n, n)
+    for row, mat in zip(coeffs, stacked):
+        expected = linmap_matrix_per_element(ctx, row.tolist())
+        assert np.array_equal(linmap_matrix(ctx, row.tolist()), expected)
+        assert np.array_equal(mat, expected)
+    # shorter and longer coefficient rows: exponents are read mod n
+    for k in (1, n + 2):
+        row = rng.integers(0, ctx.size, size=k).tolist()
+        assert np.array_equal(linmap_matrix(ctx, row), linmap_matrix_per_element(ctx, row))
+    # a (2, 3, k) array of rows gives a (2, 3, n, n) stack
+    nested = coeffs[:6].reshape(2, 3, n)
+    assert np.array_equal(linmap_matrix(ctx, nested), stacked[:6].reshape(2, 3, n, n))
+
+
+def _random_stacks(p, rng):
+    """Random, all-zero, duplicated-row and rectangular stacks of matrices."""
+    stacks = []
+    for shape in ((6, 6), (3, 5), (5, 3), (1, 4), (4, 1)):
+        stacks.append(rng.integers(0, p, size=(40,) + shape))
+        stacks.append(np.zeros((3,) + shape, dtype=np.int64))
+        dup = rng.integers(0, p, size=(40,) + shape)
+        dup[:, -1] = dup[:, 0]  # rank deficient when rows > 1
+        stacks.append(dup)
+        sparse = rng.integers(0, p, size=(40,) + shape) * (rng.random((40,) + shape) < 0.3)
+        stacks.append(sparse)
+    return stacks
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stacked_elimination_matches_per_row_oracle(p):
+    rng = np.random.default_rng(p)
+    for stack in _random_stacks(p, rng):
+        ranks = rank(stack, p)
+        assert ranks.shape == stack.shape[:1]
+        for mat, got in zip(stack, ranks):
+            expected, pivots = rref_per_row(mat, p)
+            reduced, got_pivots = rref(mat, p)
+            assert np.array_equal(reduced, expected)
+            assert got_pivots == pivots
+            assert got == len(pivots) == rank(mat, p)
+    # a (2, 3, rows, cols) stack gives a (2, 3) array of ranks
+    stack = rng.integers(0, p, size=(6, 4, 4))
+    assert np.array_equal(rank(stack.reshape(2, 3, 4, 4), p), rank(stack, p).reshape(2, 3))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,9 @@ def test_unmatched_row_raises_the_oracle_message():
     broken = WalshSpectrum(spec.p, spec.dim, counts)
     expected = _oracle_error(slice_per_row, broken)
     assert "no admissible shape" in expected
+    # plain integers, not numpy scalar reprs such as np.int64(27)
+    assert "np.int64" not in expected
+    assert re.match(r"coefficient \[-?\d+(, -?\d+)*\] ", expected)
     assert _oracle_error(b_zero_slice_multiplicities, broken) == expected
     assert _oracle_error(_classify_rows, 5, counts, spec.dim) == _oracle_error(
         classify_rows_per_row, 5, counts, spec.dim
