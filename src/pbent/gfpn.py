@@ -162,6 +162,23 @@ def digit_array(p: int, dim: int) -> np.ndarray:
     return out
 
 
+def linear_index_map(mat: np.ndarray, p: int) -> np.ndarray:
+    """perm[d] = index of mat @ digits(d) mod p for every d < p^cols, built
+    one digit plane at a time (digit k = t adds t * mat[:, k] to the planes
+    of the lower digits), so no (p^cols, cols) digit array is made."""
+    mat = np.asarray(mat, dtype=np.int64) % p
+    dtype = np.min_scalar_type(2 * (p - 1))
+    planes = np.zeros((mat.shape[0], 1), dtype=dtype)
+    for col in mat.T:
+        steps = [(t * col % p).astype(dtype)[:, None] for t in range(p)]
+        planes = np.concatenate([(planes + s) % p for s in steps], axis=1)
+    perm = np.zeros(planes.shape[1], dtype=np.intp)
+    for plane in planes[::-1]:
+        perm *= p
+        perm += plane
+    return perm
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -355,11 +372,7 @@ class FieldCtx:
     @lru_cache(maxsize=None)
     def _frob_perm(self, i: int) -> np.ndarray:
         """Index permutation a -> a^(p^i)."""
-        if i == 0:
-            perm = np.arange(self.size, dtype=np.int64)
-        else:
-            mat = np.linalg.matrix_power(self._frob_matrix, i) % self.p
-            perm = ((self.digits @ mat.T) % self.p) @ self.index_weights
+        perm = linear_index_map(np.linalg.matrix_power(self._frob_matrix, i), self.p)
         perm.setflags(write=False)
         return perm
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycInt, ValueShape, match_shape
-from .gfpn import FieldCtx, digit_array, field_to_json, make_field
+from .gfpn import FieldCtx, digit_array, field_to_json, linear_index_map, make_field
 
 
 class ShapeMismatch(RuntimeError):
@@ -96,11 +96,6 @@ class PFunction:
         """(size, dim) base-p digits of all indices; also domain coordinates."""
         return digit_array(self.p, self.dim)
 
-    def pairing_vector(self, c: int) -> np.ndarray:
-        """<c, x> for every x, as one pass over the digit coordinates."""
-        u = (self.gram() @ self.digits()[c]) % self.p
-        return (self.digits() @ u) % self.p
-
     def to_json(self) -> dict:
         obj = field_to_json(self.ctx)
         obj.update(
@@ -165,6 +160,7 @@ class WalshSpectrum:
             raise ValueError("counts must be (p^dim, p)")
         counts.setflags(write=False)
         self.counts = counts
+        self._norms = None
 
     @property
     def size(self) -> int:
@@ -178,48 +174,48 @@ class WalshSpectrum:
         return int(np.any(self.counts != 0, axis=1).sum())
 
     def norm_rows(self) -> np.ndarray:
-        """Canonical count rows of |W(b)|^2 for every b."""
-        p = self.p
-        # contiguous columns: the products run about twice as fast as on
-        # strided column views
-        cols = self.counts.T.copy()
-        out = np.zeros_like(cols)
-        for t in range(p):
-            for j in range(p):
-                out[t] += cols[j] * cols[(j - t) % p]
-        return _canonicalize_rows(out.T)
+        """Canonical count rows of |W(b)|^2 for every b, computed once."""
+        if self._norms is None:
+            # contiguous columns: the products run about twice as fast as on
+            # strided column views
+            cols = self.counts.T.copy()
+            out = np.zeros_like(cols)
+            for t, j in np.ndindex(self.p, self.p):
+                out[t] += cols[j] * cols[(j - t) % self.p]
+            out -= out[-1].copy()  # canonical rows; a view would copy all of out
+            self._norms = out.T
+            self._norms.setflags(write=False)
+        return self._norms
 
 
 def walsh_full(f: PFunction) -> WalshSpectrum:
     """Exact spectrum via the dimension-factorized character transform.
 
-    The table is lifted to count vectors over the p-th roots of unity, a
-    p-point twiddle pass runs along each of the dim digit axes, and the
-    result is re-indexed through the Gram matrix of the pairing so that
-    coefficients are addressed by b, not by raw digit covectors. Verified
-    against walsh_naive in the test suite; Parseval is checked on every run.
+    Row x of a (p^dim, p) count array starts as the unit vector at f(x).
+    Each of the dim passes multiplies (leading digit k, count s) by the
+    p^2 x p^2 0/1 matrix mix[(k, s), (j, t)] = [s = t + j*k mod p] and
+    appends j as the lowest digit (Stockham order); row u then counts the x
+    with f(x) - u.x = t. Counts are float64 so BLAS runs the products, and
+    exactly: under the size guard each is at most p^dim < 2^31, well inside
+    2^53. Rows are re-indexed by u = G b (G the Gram matrix of the pairing,
+    via gfpn.linear_index_map) and become int64. Checked against
+    walsh_naive_full in the tests; Parseval runs on every call.
     """
     p, m = f.p, f.dim
     if p ** (2 * m + 1) >= 2 ** 62:
         raise ValueError("domain too large for the exact int64 transform")
-    size = f.size
-    start = np.zeros((size, p), dtype=np.int64)
-    start[np.arange(size), f.table] = 1
-    cube = start.reshape((p,) * m + (p,))
-    for axis in range(m):
-        new = np.empty_like(cube)
-        index = [slice(None)] * (m + 1)
-        for j in range(p):
-            acc = np.zeros(np.take(cube, 0, axis=axis).shape, dtype=np.int64)
-            for k in range(p):
-                acc += np.roll(np.take(cube, k, axis=axis), (-j * k) % p, axis=-1)
-            index[axis] = j
-            new[tuple(index)] = acc
-        cube = new
-    flat = cube.reshape(size, p)
-    weights = p ** np.arange(m, dtype=np.int64)
-    perm = ((f.digits() @ f.gram().T) % p) @ weights
-    counts = _canonicalize_rows(flat[perm])
+    k, s, j, t = np.indices((p,) * 4)
+    mix = ((s - t - j * k) % p == 0).reshape(p * p, p * p).astype(np.float64)
+    cube = np.zeros((f.size, p))
+    cube[np.arange(f.size), f.table] = 1
+    buf = np.empty_like(cube)
+    for _ in range(m):
+        np.copyto(buf.reshape(-1, p, p), cube.reshape(p, -1, p).transpose(1, 0, 2))
+        np.matmul(buf.reshape(-1, p * p), mix, out=cube.reshape(-1, p * p))
+    np.take(cube, linear_index_map(f.gram(), p), axis=0, out=buf)
+    counts = cube.view(np.int64)  # the canonical int64 rows reuse cube's memory
+    np.subtract(buf, buf[:, -1:], out=counts, casting="unsafe")
+    del buf  # the norm rows of the Parseval check need the room
     spec = WalshSpectrum(p, m, counts)
     _check_parseval(spec)
     return spec

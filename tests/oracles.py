@@ -8,7 +8,14 @@ import numpy as np
 from pbent.construct import GluedSpec
 from pbent.cyclotomic import CycInt, match_shape
 from pbent.gfpn import FieldCtx
-from pbent.spectrum import PFunction, ShapeMismatch, walsh_full
+from pbent.spectrum import (
+    PFunction,
+    ShapeMismatch,
+    WalshSpectrum,
+    _canonicalize_rows,
+    _check_parseval,
+    walsh_full,
+)
 
 
 def monic_polynomials(p: int, n: int):
@@ -86,6 +93,49 @@ def slice_per_row(spec) -> dict:
     return mults
 
 
+def walsh_full_rolls(f: PFunction) -> WalshSpectrum:
+    """Reference for walsh_full: int64 counts, p^2 take/roll temporaries
+    per digit axis, and the Gram re-index through the (size, dim) digit
+    array.
+
+    The table is lifted to count vectors over the p-th roots of unity, a
+    p-point twiddle pass runs along each of the dim digit axes, and the
+    result is re-indexed through the Gram matrix of the pairing so that
+    coefficients are addressed by b, not by raw digit covectors. Parseval is
+    checked on every run.
+    """
+    p, m = f.p, f.dim
+    if p ** (2 * m + 1) >= 2 ** 62:
+        raise ValueError("domain too large for the exact int64 transform")
+    size = f.size
+    start = np.zeros((size, p), dtype=np.int64)
+    start[np.arange(size), f.table] = 1
+    cube = start.reshape((p,) * m + (p,))
+    for axis in range(m):
+        new = np.empty_like(cube)
+        index = [slice(None)] * (m + 1)
+        for j in range(p):
+            acc = np.zeros(np.take(cube, 0, axis=axis).shape, dtype=np.int64)
+            for k in range(p):
+                acc += np.roll(np.take(cube, k, axis=axis), (-j * k) % p, axis=-1)
+            index[axis] = j
+            new[tuple(index)] = acc
+        cube = new
+    flat = cube.reshape(size, p)
+    weights = p ** np.arange(m, dtype=np.int64)
+    perm = ((f.digits() @ f.gram().T) % p) @ weights
+    counts = _canonicalize_rows(flat[perm])
+    spec = WalshSpectrum(p, m, counts)
+    _check_parseval(spec)
+    return spec
+
+
+def pairing_vector(f: PFunction, c: int) -> np.ndarray:
+    """<c, x> for every x, as one pass over the digit coordinates."""
+    u = (f.gram() @ f.digits()[c]) % f.p
+    return (f.digits() @ u) % f.p
+
+
 def lagrange_glue_reference(spec: GluedSpec) -> np.ndarray:
     """Pointwise indicator form of the glueing, kept as a cross-check oracle.
 
@@ -133,7 +183,7 @@ def _domain_sub(f: PFunction, a: int, b: int) -> int:
 def shift_property_check(f: PFunction, c: int) -> bool:
     """Spectrum of f + <c, .> must be the b -> b - c translate of f's."""
     base = walsh_full(f)
-    shifted = PFunction(f.ctx, (f.table + f.pairing_vector(c)) % f.p, f.kind)
+    shifted = PFunction(f.ctx, (f.table + pairing_vector(f, c)) % f.p, f.kind)
     moved = walsh_full(shifted)
     for b in range(f.size):
         if not np.array_equal(moved.counts[b], base.counts[_domain_sub(f, b, c)]):

@@ -19,7 +19,7 @@ from pbent.gfpn import make_field, solve_trace_equation
 from pbent.quadratic import QuadraticSpec, binomial_spec
 from pbent.spectrum import PFunction, analyze, walsh_full
 
-from oracles import lagrange_glue_reference, support_partition_check
+from oracles import lagrange_glue_reference, pairing_vector, support_partition_check
 
 
 def test_arrange_computes_aligned_witnesses():
@@ -118,7 +118,7 @@ def test_anf_roundtrip_and_degree():
     # quadratics interpolate to digit degree 2, linear forms to 1
     assert anf(QuadraticSpec(ctx, ((1, 0),)).to_table()).degree == 2
     lin = PFunction.from_field_table(
-        ctx, PFunction.from_field_table(ctx, np.zeros(27, dtype=int)).pairing_vector(5)
+        ctx, pairing_vector(PFunction.from_field_table(ctx, np.zeros(27, dtype=int)), 5)
     )
     assert anf(lin).degree == 1
     const = PFunction.from_field_table(ctx, np.full(27, 2))

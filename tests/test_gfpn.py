@@ -7,10 +7,12 @@ from pbent.gfpn import (
     NotPrime,
     Reducible,
     ZeroBeta,
+    digit_array,
     field_from_json,
     field_to_json,
     invert_matrix,
     kernel,
+    linear_index_map,
     linmap_matrix,
     make_field,
     rank,
@@ -164,6 +166,28 @@ def test_frobenius_is_pth_power_and_additive():
         )
     with pytest.raises(ValueError):
         ctx.frobenius(1, -1)
+
+
+@pytest.mark.parametrize("p, n", FIELDS)
+def test_frobenius_permutations_are_pth_powers(p, n):
+    ctx = make_field(p, n)
+    perms = [ctx._frob_perm(i) for i in range(n)]
+    for a in range(ctx.size):
+        x = a
+        for i in range(n):
+            assert perms[i][a] == x
+            x = ctx.pow(x, p)
+        assert x == a
+
+
+@pytest.mark.parametrize("p, rows, cols", [(3, 4, 4), (5, 2, 3), (7, 3, 2), (131, 2, 2)])
+def test_linear_index_map_matches_digit_product(p, rows, cols):
+    # p = 131 needs planes wider than uint8: 2 * (p - 1) > 255
+    rng = np.random.default_rng(p + rows + cols)
+    for _ in range(5):
+        mat = rng.integers(-p, 2 * p, size=(rows, cols))
+        expected = (digit_array(p, cols) @ mat.T % p) @ p ** np.arange(rows)
+        assert np.array_equal(linear_index_map(mat, p), expected)
 
 
 def test_trace_values():

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from pbent.spectrum import (
     walsh_naive_full,
 )
 
-from oracles import analyze_per_row, classify_rows_per_row, shift_property_check, slice_per_row
+from oracles import (
+    analyze_per_row,
+    classify_rows_per_row,
+    pairing_vector,
+    shift_property_check,
+    slice_per_row,
+    walsh_full_rolls,
+)
 
 
 def _random_field_function(ctx, rng):
@@ -60,7 +68,7 @@ def test_pairing_vector_matches_inner_product():
     ctx = make_field(3, 3)
     f = PFunction.from_field_table(ctx, np.zeros(27, dtype=int))
     for c in (0, 1, 5, 26):
-        pv = f.pairing_vector(c)
+        pv = pairing_vector(f, c)
         assert all(pv[x] == f.inner_product(c, x) for x in range(27))
 
 
@@ -78,19 +86,22 @@ def test_walsh_of_linear_form():
     ctx = make_field(3, 2)
     dummy = PFunction.from_field_table(ctx, np.zeros(9, dtype=int))
     c = 5
-    f = PFunction.from_field_table(ctx, dummy.pairing_vector(c))
+    f = PFunction.from_field_table(ctx, pairing_vector(dummy, c))
     spec = walsh_full(f)
     assert spec.coefficient(c) == 9
     assert spec.support_size == 1
 
 
+EDGE_FIELDS = [(p, n) for p, max_n in ((3, 5), (5, 3), (7, 2)) for n in range(1, max_n + 1)]
+
+
 def test_fast_equals_naive_full():
-    rng = np.random.default_rng(101)
-    for p, n in ((3, 2), (3, 3), (5, 2)):
+    for p, n in EDGE_FIELDS:
         ctx = make_field(p, n)
+        rng = np.random.default_rng([101, p, n])
         for _ in range(25):
             f = _random_field_function(ctx, rng)
-            assert np.array_equal(walsh_full(f).counts, walsh_naive_full(f))
+            assert np.array_equal(walsh_full(f).counts, walsh_naive_full(f)), (p, n)
 
 
 def test_fast_equals_naive_scalar_exhaustive_f9():
@@ -103,15 +114,35 @@ def test_fast_equals_naive_scalar_exhaustive_f9():
 
 
 def test_fast_equals_naive_on_product_domain():
-    ctx = make_field(3, 2)
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        f = PFunction.from_product_tables(
-            ctx, [rng.integers(3, size=9) for _ in range(3)]
-        )
-        assert np.array_equal(walsh_full(f).counts, walsh_naive_full(f))
-        for b in (0, 1, 13, 26):
-            assert walsh_full(f).coefficient(b) == walsh_naive(f, b)
+    for p, n in EDGE_FIELDS:
+        ctx = make_field(p, n)
+        rng = np.random.default_rng([17, p, n])
+        for _ in range(10):
+            f = PFunction.from_product_tables(
+                ctx, [rng.integers(p, size=ctx.size) for _ in range(p)]
+            )
+            spec = walsh_full(f)
+            assert np.array_equal(spec.counts, walsh_naive_full(f)), (p, n)
+            for b in (0, 1, f.size // 2, f.size - 1):
+                assert spec.coefficient(b) == walsh_naive(f, b), (p, n, b)
+
+
+def test_fast_equals_roll_transform_on_larger_domains():
+    from pbent.construct import arrange, glue
+
+    rng = np.random.default_rng(23)
+    funcs = [_random_field_function(make_field(p, n), rng) for p, n in ((3, 9), (5, 5), (7, 4))]
+    g = binomial_spec(make_field(3, 7), 2, 1, "minus")
+    funcs.append(glue(arrange((g, g, g), (1, 1, 2))))
+    for f in funcs:
+        assert np.array_equal(walsh_full(f).counts, walsh_full_rolls(f).counts)
+
+
+def test_size_guard_fires_before_any_allocation():
+    # only p and dim exist: touching the table, size or Gram matrix would
+    # raise AttributeError instead
+    with pytest.raises(ValueError, match="too large"):
+        walsh_full(SimpleNamespace(p=3, dim=20))
 
 
 def test_naive_full_is_a_small_domain_oracle():
