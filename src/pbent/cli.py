@@ -20,6 +20,7 @@ from .construct import GluedSpec, anf, build_example, glue, scan_coefficients
 from .gfpn import field_to_json, make_field
 from .quadratic import QuadraticSpec
 from .spectrum import PFunction, analyze, b_zero_slice_multiplicities, walsh_full
+from .spectrum import check_transform_size, mults_json
 
 
 class ParseError(ValueError):
@@ -63,12 +64,6 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _mults_json(mults: dict) -> list:
-    return [
-        {"zeta": z, "j": j, "count": c} for (z, j), c in sorted(mults.items())
-    ]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -86,13 +81,24 @@ def _cmd_field(args) -> int:
     return 0
 
 
+def _check_size(obj: dict, key: str, extra: int) -> None:
+    """The transform's size guard on p and obj[key] + extra, before anything is built."""
+    try:
+        check_transform_size(int(obj["p"]), int(obj[key]) + extra)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"input needs integer fields 'p' and {key!r}") from exc
+
+
 def _function_from_obj(obj: dict) -> PFunction:
     """Accepts a raw table, a quadratic spec, or a glued spec."""
     if "table" in obj:
+        _check_size(obj, "dim", 0)
         return PFunction.from_json(obj)
     if "components" in obj:
+        _check_size(obj, "n", 1)
         return glue(GluedSpec.from_json(obj))
     if "quad_terms" in obj:
+        _check_size(obj, "n", 0)
         return QuadraticSpec.from_json(obj).to_table()
     raise ValidationError(
         "object has none of the fields 'table', 'components', 'quad_terms'"
@@ -109,9 +115,7 @@ def _cmd_analyze(args) -> int:
     report = analyze(spec)
     result = report.to_json()
     if f.kind == "product" and report.is_bent:
-        result["b0_slice_multiplicities"] = _mults_json(
-            b_zero_slice_multiplicities(spec)
-        )
+        result["b0_slice_multiplicities"] = mults_json(b_zero_slice_multiplicities(spec))
     t3 = time.perf_counter()
     result["algebraic_degree"] = anf(f).degree
     t4 = time.perf_counter()
@@ -143,6 +147,7 @@ def _cmd_construct(args) -> int:
         obj, digest = _load_json(args.source)
         if "components" not in obj:
             raise ValidationError("glued spec file must have a 'components' field")
+        _check_size(obj, "n", 1)
         gs = GluedSpec.from_json(obj)
     f = glue(gs)
     report = analyze(walsh_full(f))

@@ -154,10 +154,10 @@ class AnfPoly:
 
     @cached_property
     def degree(self) -> int:
-        nz = np.nonzero(self.cube)
-        if len(nz[0]) == 0:
-            return 0
-        return int(np.max(np.sum(np.stack(nz), axis=0)))
+        digit_sum = np.zeros((), dtype=np.int16)
+        for _ in range(self.dim):
+            digit_sum = digit_sum[..., None] + np.arange(self.p, dtype=np.int16)
+        return int(np.max(digit_sum, where=self.cube != 0, initial=0))
 
     def coefficients(self) -> dict:
         """Sparse map from digit-ordered exponent tuples to coefficients."""
@@ -168,30 +168,40 @@ class AnfPoly:
 
     def value_table(self) -> np.ndarray:
         """Evaluate back onto the whole domain (inverse of interpolation)."""
-        v = _vandermonde(self.p)
-        arr = self.cube
-        for axis in range(self.dim):
-            arr = np.moveaxis(np.tensordot(v, arr, axes=(1, axis)) % self.p, 0, axis)
-        return arr.reshape(self.p ** self.dim)
+        return _digit_passes(self.cube, _vandermonde(self.p), self.p, self.dim)
 
 
 def _vandermonde(p: int) -> np.ndarray:
-    v = np.empty((p, p), dtype=np.int64)
-    for x in range(p):
-        for e in range(p):
-            v[x, e] = pow(x, e, p) if e else 1
-    return v
+    return np.array([[pow(x, e, p) for e in range(p)] for x in range(p)], dtype=np.int64)
+
+
+def _digit_passes(values, mat: np.ndarray, p: int, dim: int) -> np.ndarray:
+    """Flat int64 table of mat (p x p over F_p) applied on every digit axis.
+
+    Each pass is one BLAS product of the (leading digit, rest) transpose
+    with mat.T, the new digit appended lowest (Stockham order). Entries stay
+    below a bound that grows p(p-1)-fold per pass; they are reduced mod p
+    only where the next pass could pass the float type's exact range, and
+    once at the end."""
+    dtype, limit = (np.float32, 2 ** 24) if p * (p - 1) ** 2 <= 2 ** 24 else (np.float64, 2 ** 53)
+    arr = np.asarray(values, dtype=dtype).reshape(-1)
+    mat_t = mat.T.astype(dtype)
+    bound = p - 1
+    for _ in range(dim):
+        if bound * p * (p - 1) > limit:
+            np.remainder(arr, p, out=arr)
+            bound = p - 1
+        arr = np.matmul(arr.reshape(p, -1).T, mat_t).reshape(-1)
+        bound *= p * (p - 1)
+    return np.remainder(arr, p, out=arr).astype(np.int64)
 
 
 def anf(f: PFunction) -> AnfPoly:
     """Coordinatewise Lagrange interpolation of the value table."""
-    p, m = f.p, f.dim
-    vinv = invert_matrix(_vandermonde(p), p)
-    arr = f.table.reshape((p,) * m)
-    for axis in range(m):
-        arr = np.moveaxis(np.tensordot(vinv, arr, axes=(1, axis)) % p, 0, axis)
-    arr.setflags(write=False)
-    return AnfPoly(p, m, arr)
+    vinv = invert_matrix(_vandermonde(f.p), f.p)
+    cube = _digit_passes(f.table, vinv, f.p, f.dim).reshape((f.p,) * f.dim)
+    cube.setflags(write=False)
+    return AnfPoly(f.p, f.dim, cube)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ def linear_index_map(mat: np.ndarray, p: int) -> np.ndarray:
     planes = np.zeros((mat.shape[0], 1), dtype=dtype)
     for col in mat.T:
         steps = [(t * col % p).astype(dtype)[:, None] for t in range(p)]
-        planes = np.concatenate([(planes + s) % p for s in steps], axis=1)
+        planes = np.concatenate([planes + s for s in steps], axis=1)
+        np.subtract(planes, p, out=planes, where=planes >= p)  # faster than % p
     perm = np.zeros(planes.shape[1], dtype=np.intp)
     for plane in planes[::-1]:
         perm *= p

@@ -26,6 +26,10 @@ class ShapeMismatch(RuntimeError):
     """
 
 
+class NotBent(ValueError):
+    """The spectrum is not bent where the caller needs a bent one."""
+
+
 class PFunction:
     """Immutable value table of f: V -> F_p.
 
@@ -142,10 +146,6 @@ def walsh_naive_full(f: PFunction) -> np.ndarray:
     counts = np.empty((f.size, f.p), dtype=np.int64)
     for j in range(f.p):
         counts[:, j] = (keys == j).sum(axis=1)
-    return _canonicalize_rows(counts)
-
-
-def _canonicalize_rows(counts: np.ndarray) -> np.ndarray:
     return counts - counts[:, -1:]
 
 
@@ -160,11 +160,6 @@ class WalshSpectrum:
             raise ValueError("counts must be (p^dim, p)")
         counts.setflags(write=False)
         self.counts = counts
-        self._norms = None
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.dim
 
     def coefficient(self, b: int) -> CycInt:
         return CycInt(self.p, self.counts[b])
@@ -173,65 +168,71 @@ class WalshSpectrum:
     def support_size(self) -> int:
         return int(np.any(self.counts != 0, axis=1).sum())
 
-    def norm_rows(self) -> np.ndarray:
-        """Canonical count rows of |W(b)|^2 for every b, computed once."""
-        if self._norms is None:
-            # contiguous columns: the products run about twice as fast as on
-            # strided column views
-            cols = self.counts.T.copy()
-            out = np.zeros_like(cols)
-            for t, j in np.ndindex(self.p, self.p):
-                out[t] += cols[j] * cols[(j - t) % self.p]
-            out -= out[-1].copy()  # canonical rows; a view would copy all of out
-            self._norms = out.T
-            self._norms.setflags(write=False)
-        return self._norms
+
+def check_transform_size(p: int, dim: int) -> None:
+    """Reject p^dim points before any allocation; counts, sums stay in int64."""
+    if p ** (2 * dim + 1) >= 2 ** 62:
+        raise ValueError(f"domain of {p}^{dim} points too large for the exact int64 transform")
 
 
 def walsh_full(f: PFunction) -> WalshSpectrum:
     """Exact spectrum via the dimension-factorized character transform.
 
-    Row x of a (p^dim, p) count array starts as the unit vector at f(x).
-    Each of the dim passes multiplies (leading digit k, count s) by the
-    p^2 x p^2 0/1 matrix mix[(k, s), (j, t)] = [s = t + j*k mod p] and
-    appends j as the lowest digit (Stockham order); row u then counts the x
-    with f(x) - u.x = t. Counts are float64 so BLAS runs the products, and
-    exactly: under the size guard each is at most p^dim < 2^31, well inside
-    2^53. Rows are re-indexed by u = G b (G the Gram matrix of the pairing,
-    via gfpn.linear_index_map) and become int64. Checked against
-    walsh_naive_full in the tests; Parseval runs on every call.
+    The pairing is <b, x> = b . (G x) with G its symmetric Gram matrix, so
+    W(b) = sum_y e^(h(y) - b . y) for h(G x) = f(x): the re-index is done on
+    the input, where row G x (gfpn.linear_index_map) of a (p^dim, p) count
+    array starts as the unit vector at f(x). Each pass multiplies (the d
+    leading digits k, count s) by the 0/1 matrix [s = t + j.k mod p] with
+    rows (k, s) and columns (j, t), d as large as keeps it within 81 rows,
+    and appends j as the lowest digits (Stockham order); row b then counts
+    the y with h(y) - b.y = t. Every entry and partial sum is a count of at
+    most p^dim points, so BLAS runs the passes exactly in float32 up to 2^24
+    points and in float64 above. Checked against walsh_naive_full in the
+    tests; Parseval runs on every call.
     """
-    p, m = f.p, f.dim
-    if p ** (2 * m + 1) >= 2 ** 62:
-        raise ValueError("domain too large for the exact int64 transform")
-    k, s, j, t = np.indices((p,) * 4)
-    mix = ((s - t - j * k) % p == 0).reshape(p * p, p * p).astype(np.float64)
-    cube = np.zeros((f.size, p))
-    cube[np.arange(f.size), f.table] = 1
-    buf = np.empty_like(cube)
-    for _ in range(m):
-        np.copyto(buf.reshape(-1, p, p), cube.reshape(p, -1, p).transpose(1, 0, 2))
-        np.matmul(buf.reshape(-1, p * p), mix, out=cube.reshape(-1, p * p))
-    np.take(cube, linear_index_map(f.gram(), p), axis=0, out=buf)
-    counts = cube.view(np.int64)  # the canonical int64 rows reuse cube's memory
-    np.subtract(buf, buf[:, -1:], out=counts, casting="unsafe")
-    del buf  # the norm rows of the Parseval check need the room
-    spec = WalshSpectrum(p, m, counts)
+    check_transform_size(f.p, f.dim)
+    dtype = np.float32 if f.size <= 2 ** 24 else np.float64
+    spec = WalshSpectrum(f.p, f.dim, _transform(f, dtype))
     _check_parseval(spec)
     return spec
 
 
+def _transform(f: PFunction, dtype) -> np.ndarray:
+    """Canonical int64 count rows of walsh_full, with the passes in dtype."""
+    p, m = f.p, f.dim
+    most = max(d for d in (1, 2, 3) if d == 1 or p ** (d + 1) <= 81)
+    cube = np.zeros((f.size, p), dtype=dtype)
+    cube[linear_index_map(f.gram(), p), f.table] = 1
+    buf = np.empty_like(cube)
+    for done in range(0, m, most):
+        d = min(most, m - done)
+        k, s, j, t = np.split(np.indices((p,) * (2 * d + 2)), [d, d + 1, 2 * d + 1])
+        mix = ((s - t - (k * j).sum(axis=0)) % p == 0).reshape(p ** (d + 1), -1).astype(dtype)
+        np.copyto(buf.reshape(-1, p ** d, p), cube.reshape(p ** d, -1, p).transpose(1, 0, 2))
+        np.matmul(buf.reshape(-1, len(mix)), mix, out=cube.reshape(-1, len(mix)))
+    del buf
+    counts = np.empty(cube.shape, dtype=np.int64)
+    np.subtract(cube, cube[:, -1:], out=counts, casting="unsafe")
+    return counts
+
+
 def _check_parseval(spec: WalshSpectrum) -> None:
-    # Each norm row fits in int64 under the transform's size guard. Partial
-    # sums over `step` rows cannot overflow; they are added as Python ints.
-    norms = spec.norm_rows()
-    step = (2 ** 63 - 1) // max(int(norms.max()), -int(norms.min()), 1)
-    total = sum(
-        norms[i : i + step].sum(axis=0).astype(object)
-        for i in range(0, len(norms), step)
-    )
-    expected = [spec.p ** (2 * spec.dim)] + [0] * (spec.p - 1)
-    if total.tolist() != expected:
+    """sum_b |W(b)|^2 = p^(2 dim): with gram = counts.T @ counts the total
+    has count sum_j gram[j, j - t] at e^t. The Gram is summed exactly over
+    row chunks, in float64 (BLAS) while their sums stay below 2^53, else in
+    int64, and the chunks are added as Python ints."""
+    p, c = spec.p, spec.counts
+    big = max(int(c.max()), -int(c.min()), 1) ** 2
+    dtype, limit = (np.float64, 2 ** 53) if big <= 2 ** 53 else (np.int64, 2 ** 63 - 1)
+    step = min(limit // big, 1 << 16)
+    gram = 0
+    for i in range(0, len(c), step):
+        x = c[i : i + step].astype(dtype)
+        gram = gram + (x.T @ x).astype(np.int64).astype(object)
+    j = np.arange(p)
+    total = [sum(gram[j, (j - t) % p]) for t in range(p)]
+    expected = [p ** (2 * spec.dim)] + [0] * (p - 1)
+    if [v - total[-1] for v in total] != expected:
         raise RuntimeError("Parseval identity failed; transform is broken")
 
 
@@ -252,10 +253,6 @@ class SpectrumReport:
     class_multiplicities: dict
 
     def to_json(self) -> dict:
-        mults = [
-            {"zeta": z, "j": j, "count": c}
-            for (z, j), c in sorted(self.class_multiplicities.items())
-        ]
         return {
             "p": self.p,
             "dim": self.dim,
@@ -264,19 +261,27 @@ class SpectrumReport:
             "support_size": self.support_size,
             "classification": self.classification,
             "zeta": self.zeta,
-            "class_multiplicities": mults,
+            "class_multiplicities": mults_json(self.class_multiplicities),
         }
 
 
-def _classify_rows(p: int, rows: np.ndarray, mag_exponent: int):
-    """Match each distinct count row once; returns (shapes, labels).
+def mults_json(mults: dict) -> list:
+    """(zeta, j) -> count as a sorted list of JSON records."""
+    return [{"zeta": z, "j": j, "count": c} for (z, j), c in sorted(mults.items())]
+
+
+def _classify_rows(p: int, dim: int, rows: np.ndarray, mag: int | None = None):
+    """Match each distinct count row once; returns (mag, shapes, labels).
 
     shapes[k] is the shape of the k-th distinct row in order of first
     occurrence (None for the zero row), and labels[i] = k for every row i
-    equal to it. Each pass of the peel loop classifies the first unlabelled
-    row and labels every row equal to it in one vectorised comparison. On
-    canonical rows a row is zero, one of the 2p admissible shapes, or raises,
-    so the loop runs at most 2p + 2 times whatever the number of rows.
+    equal to it. Each pass of the peel loop takes the first unlabelled row,
+    computes its |w|^2 and labels every row equal to it. Unless given, the
+    first distinct row fixes the magnitude exponent mag: dim (bent) if its
+    |w|^2 is p^dim, else dim + 1 (near-bent, the only kind with zero rows).
+    A zero row at mag = dim, or |w|^2 other than p^mag, raises NotBent; a
+    row of norm p^mag that matches no shape raises ShapeMismatch. So the
+    loop runs at most 2p + 2 times, and once on a random table.
     """
     labels = np.full(len(rows), -1, dtype=np.intp)
     shapes: list[ValueShape | None] = []
@@ -284,16 +289,22 @@ def _classify_rows(p: int, rows: np.ndarray, mag_exponent: int):
     while first >= 0:
         row = rows[first]
         w = CycInt(p, row)
-        shape = match_shape(w, mag_exponent)
+        norm = w.norm_sq()
+        if mag is None:
+            mag = dim if norm == p ** dim else dim + 1
+        if norm != p ** mag and not (w.is_zero() and mag > dim):
+            raise NotBent(f"coefficient {row.tolist()} has |W|^2 = "
+                          f"{list(norm.counts)}, not {p}^{mag}")
+        shape = match_shape(w, mag)
         if shape is None and not w.is_zero():
             raise ShapeMismatch(
                 f"coefficient {row.tolist()} has no admissible shape at "
-                f"magnitude exponent {mag_exponent}"
+                f"magnitude exponent {mag}"
             )
         labels[(rows == row).all(axis=1)] = len(shapes)
         shapes.append(shape)
         first = int(labels.argmin()) if labels.min() < 0 else -1
-    return shapes, labels
+    return mag, shapes, labels
 
 
 def _multiplicities(shapes, labels) -> dict:
@@ -309,32 +320,16 @@ def _multiplicities(shapes, labels) -> dict:
 def analyze(spec: WalshSpectrum) -> SpectrumReport:
     """Flags, classification, dual table and per-shape multiplicities.
 
-    The admissible coefficient shapes are derived from the parity of the
-    magnitude exponent (dim for bent, dim + 1 on a near-bent support), never
-    from a hard-coded case table.
+    Bent or near-bent is decided on the distinct rows; their shapes follow
+    from the parity of the magnitude exponent (dim for bent, dim + 1 on a
+    near-bent support), never from a hard-coded case table.
     """
     p, dim = spec.p, spec.dim
-    norms = spec.norm_rows()
-    zero_row = np.zeros(p, dtype=np.int64)
-    bent_row = np.zeros(p, dtype=np.int64)
-    bent_row[0] = p ** dim
-    nb_row = np.zeros(p, dtype=np.int64)
-    nb_row[0] = p ** (dim + 1)
-
-    is_bent = bool((norms == bent_row).all())
-    is_zero_or_nb = np.logical_or(
-        (norms == zero_row).all(axis=1), (norms == nb_row).all(axis=1)
-    )
-    is_near_bent = not is_bent and bool(is_zero_or_nb.all())
     support_size = spec.support_size
-
-    if not (is_bent or is_near_bent):
-        return SpectrumReport(
-            p, dim, False, False, support_size, "NotApplicable", None, None, {}
-        )
-
-    mag = dim if is_bent else dim + 1
-    shapes, labels = _classify_rows(p, spec.counts, mag)
+    try:
+        mag, shapes, labels = _classify_rows(p, dim, spec.counts)
+    except NotBent:
+        return SpectrumReport(p, dim, False, False, support_size, "NotApplicable", None, None, {})
     js = np.array([None if s is None else s.j for s in shapes], dtype=object)
     dual = js[labels].tolist()
     mults = _multiplicities(shapes, labels)
@@ -348,27 +343,16 @@ def analyze(spec: WalshSpectrum) -> SpectrumReport:
         classification, zeta = "NonWeaklyRegular", None
 
     return SpectrumReport(
-        p,
-        dim,
-        is_bent,
-        is_near_bent,
-        support_size,
-        classification,
-        zeta,
-        dual,
-        mults,
+        p, dim, mag == dim, mag != dim, support_size, classification, zeta, dual, mults
     )
 
 
 def b_zero_slice_multiplicities(spec: WalshSpectrum) -> dict:
     """Shape multiplicities over the b = (a, 0) slice of a product spectrum.
 
-    Rows 0 .. p^(dim-1)-1 are exactly the coefficients with vanishing F_p
-    part of b. Shapes are matched at the bent magnitude p^(dim/2).
+    Rows 0 .. p^(dim-1)-1 are the coefficients with vanishing F_p part of
+    b, matched at the bent magnitude p^(dim/2); a zero or other row raises NotBent.
     """
-    p = spec.p
-    slice_rows = spec.counts[: p ** (spec.dim - 1)]
-    shapes, labels = _classify_rows(p, slice_rows, spec.dim)
-    if None in shapes:
-        raise ShapeMismatch("b = 0 slice of a bent spectrum has a zero entry")
+    rows = spec.counts[: spec.p ** (spec.dim - 1)]
+    _, shapes, labels = _classify_rows(spec.p, spec.dim, rows, spec.dim)
     return _multiplicities(shapes, labels)

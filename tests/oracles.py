@@ -5,14 +5,13 @@ from itertools import product
 
 import numpy as np
 
-from pbent.construct import GluedSpec
+from pbent.construct import AnfPoly, GluedSpec, _vandermonde
 from pbent.cyclotomic import CycInt, match_shape
-from pbent.gfpn import FieldCtx
+from pbent.gfpn import FieldCtx, invert_matrix
 from pbent.spectrum import (
     PFunction,
     ShapeMismatch,
     WalshSpectrum,
-    _canonicalize_rows,
     _check_parseval,
     walsh_full,
 )
@@ -124,10 +123,41 @@ def walsh_full_rolls(f: PFunction) -> WalshSpectrum:
     flat = cube.reshape(size, p)
     weights = p ** np.arange(m, dtype=np.int64)
     perm = ((f.digits() @ f.gram().T) % p) @ weights
-    counts = _canonicalize_rows(flat[perm])
+    rows = flat[perm]
+    counts = rows - rows[:, -1:]
     spec = WalshSpectrum(p, m, counts)
     _check_parseval(spec)
     return spec
+
+
+def norm_rows(spec: WalshSpectrum) -> np.ndarray:
+    """Canonical count rows of |W(b)|^2 for every b, by p^2 column products."""
+    p = spec.p
+    cols = spec.counts.T.copy()
+    out = np.zeros_like(cols)
+    for t, j in np.ndindex(p, p):
+        out[t] += cols[j] * cols[(j - t) % p]
+    return (out - out[-1]).T
+
+
+def _tensordot_passes(mat: np.ndarray, cube: np.ndarray) -> np.ndarray:
+    """mat applied along every axis of cube in int64, reduced mod p each time."""
+    p = mat.shape[0]
+    for axis in range(cube.ndim):
+        cube = np.moveaxis(np.tensordot(mat, cube, axes=(1, axis)) % p, 0, axis)
+    return cube
+
+
+def anf_tensordot(f: PFunction) -> np.ndarray:
+    """ANF coefficient cube by int64 tensordot passes with the inverse
+    Vandermonde matrix."""
+    vinv = invert_matrix(_vandermonde(f.p), f.p)
+    return _tensordot_passes(vinv, f.table.reshape((f.p,) * f.dim))
+
+
+def value_table_tensordot(poly: AnfPoly) -> np.ndarray:
+    """Flat value table of an ANF by int64 tensordot passes."""
+    return _tensordot_passes(_vandermonde(poly.p), poly.cube).reshape(-1)
 
 
 def pairing_vector(f: PFunction, c: int) -> np.ndarray:

@@ -173,6 +173,35 @@ def test_construct_rejects_bad_sources(tmp_path, capsys):
     assert rc == 2 and "components" in err
 
 
+def test_oversized_glued_spec_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    from pbent.construct import GluedSpec
+    from pbent.quadratic import QuadraticSpec
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built an oversized input")
+
+    monkeypatch.setattr(GluedSpec, "from_json", no_build)
+    monkeypatch.setattr(QuadraticSpec, "to_table", no_build)
+    component = {"quad_terms": [{"a_index": 1, "i": 2}, {"a_index": 1, "i": 1}]}
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"p": 3, "n": 20, "components": [component] * 3,
+                                "scalars": [1, 1, 1]}))
+    for argv in (["construct", str(spec)], ["analyze", str(spec)]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: domain of 3^21 points too large for the exact int64 transform\n"
+
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps({"p": 3, "n": 20, **component}))
+    rc, _, err = run(capsys, ["analyze", str(quad)])
+    assert rc == 2 and "3^20 points too large" in err
+
+    nop = tmp_path / "nop.json"
+    nop.write_text(json.dumps({"n": 4, **component}))
+    rc, _, err = run(capsys, ["analyze", str(nop)])
+    assert rc == 2 and "'p'" in err
+
+
 SCAN_TEMPLATE = {
     "p": 3,
     "n": 4,

@@ -19,7 +19,13 @@ from pbent.gfpn import make_field, solve_trace_equation
 from pbent.quadratic import QuadraticSpec, binomial_spec
 from pbent.spectrum import PFunction, analyze, walsh_full
 
-from oracles import lagrange_glue_reference, pairing_vector, support_partition_check
+from oracles import (
+    anf_tensordot,
+    lagrange_glue_reference,
+    pairing_vector,
+    support_partition_check,
+    value_table_tensordot,
+)
 
 
 def test_arrange_computes_aligned_witnesses():
@@ -136,6 +142,29 @@ def test_anf_coefficients_sparse_map():
 
 def test_anf_product_domain_degree():
     assert anf(glue(build_example(6))).degree == 4
+
+
+def _anf_cases():
+    """Random tables where the float passes reduce mod p mid-loop (3^9, 5^6,
+    7^5, 11^4, 13^3) or only at the end (5^5, 11^3), F_257 (float64 passes),
+    and a glued 3^7 x F_3."""
+    rng = np.random.default_rng(59)
+    for p, n in ((3, 9), (5, 5), (5, 6), (7, 5), (11, 3), (11, 4), (13, 3), (257, 1)):
+        ctx = make_field(p, n)
+        yield f"{p}^{n}", PFunction.from_field_table(ctx, rng.integers(p, size=ctx.size))
+    g = binomial_spec(make_field(3, 7), 2, 1, "minus")
+    yield "glued 3^7", glue(arrange((g, g, g), (1, 1, 2)))
+
+
+def test_anf_and_value_table_equal_the_tensordot_oracle():
+    for name, f in _anf_cases():
+        poly = anf(f)
+        cube = anf_tensordot(f)
+        assert poly.cube.dtype == np.int64 and np.array_equal(poly.cube, cube), name
+        assert np.array_equal(poly.value_table(), f.table), name
+        assert np.array_equal(poly.value_table(), value_table_tensordot(poly)), name
+        nonzero = np.stack(np.nonzero(cube))
+        assert poly.degree == nonzero.sum(axis=0).max(), name
 
 
 def test_build_example_parameters():

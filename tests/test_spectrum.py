@@ -9,6 +9,7 @@ from pbent.gfpn import make_field
 from pbent.quadratic import QuadraticSpec, binomial_spec
 from pbent.spectrum import (
     PFunction,
+    NotBent,
     ShapeMismatch,
     WalshSpectrum,
     _check_parseval,
@@ -22,6 +23,7 @@ from pbent.spectrum import (
 from oracles import (
     analyze_per_row,
     classify_rows_per_row,
+    norm_rows,
     pairing_vector,
     shift_property_check,
     slice_per_row,
@@ -138,6 +140,22 @@ def test_fast_equals_roll_transform_on_larger_domains():
         assert np.array_equal(walsh_full(f).counts, walsh_full_rolls(f).counts)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_both_pass_dtypes_equal_the_roll_transform(dtype):
+    # float64 runs only above 2^24 points, so it is reached here directly
+    from pbent.spectrum import _transform
+
+    for p, n in EDGE_FIELDS:
+        ctx = make_field(p, n)
+        rng = np.random.default_rng([41, p, n])
+        field = _random_field_function(ctx, rng)
+        product = PFunction.from_product_tables(
+            ctx, [rng.integers(p, size=ctx.size) for _ in range(p)]
+        )
+        for f in (field, product):
+            assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (p, n)
+
+
 def test_size_guard_fires_before_any_allocation():
     # only p and dim exist: touching the table, size or Gram matrix would
     # raise AttributeError instead
@@ -177,6 +195,15 @@ def test_parseval_check_sums_exactly():
         _check_parseval(WalshSpectrum(3, 2, counts))
 
 
+def test_parseval_check_covers_every_row_chunk():
+    ctx = make_field(3, 11)  # 3^11 rows: the Gram is summed in three chunks
+    spec = walsh_full(_random_field_function(ctx, np.random.default_rng(43)))
+    counts = spec.counts.copy()
+    counts[-1, 0] += 1
+    with pytest.raises(RuntimeError, match="Parseval"):
+        _check_parseval(WalshSpectrum(3, 11, counts))
+
+
 def test_analyze_zero_function():
     ctx = make_field(3, 2)
     f = PFunction.from_field_table(ctx, np.zeros(9, dtype=int))
@@ -212,7 +239,7 @@ def test_analyze_quadratic_near_bent():
     rep = analyze(spec)
     assert rep.is_near_bent and not rep.is_bent
     assert rep.support_size == 3 ** 7
-    norms = spec.norm_rows()
+    norms = norm_rows(spec)
     nb = np.zeros(3, dtype=np.int64)
     nb[0] = 3 ** 9
     for row in norms:
@@ -245,7 +272,7 @@ def test_dual_indices_line_up_with_multiplicities():
 def test_slice_multiplicities_need_a_bent_product():
     ctx = make_field(3, 2)
     f = PFunction.from_product_tables(ctx, [np.zeros(9, dtype=int)] * 3)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NotBent):
         b_zero_slice_multiplicities(walsh_full(f))
 
 
@@ -307,42 +334,102 @@ def _oracle_error(fn, *args) -> str:
     return str(exc.value)
 
 
-def test_unmatched_row_raises_the_oracle_message():
+def _refuse_shape(monkeypatch, row):
+    """A shape table that has lost the shape of row: the only way to make
+    match_shape miss, since every element of Z[e] with |w|^2 = p^mag is a
+    root of unity times an admissible magnitude."""
+    import oracles
+    import pbent.spectrum as spectrum
+
+    def match_all_but(w, mag):
+        return None if list(w.counts) == row.tolist() else match_shape(w, mag)
+
+    monkeypatch.setattr(spectrum, "match_shape", match_all_but)
+    monkeypatch.setattr(oracles, "match_shape", match_all_but)
+
+
+def test_unmatched_row_raises_the_oracle_message(monkeypatch):
     from pbent.spectrum import _classify_rows
 
     spec = walsh_full(_glued(5, (1, 1, 1, 1, 2)))
     counts = spec.counts.copy()
     counts[20] += [1, 0, 0, 0, 0]  # the b = 0 slice is rows 0..24
     broken = WalshSpectrum(spec.p, spec.dim, counts)
-    expected = _oracle_error(slice_per_row, broken)
+    # a row of another magnitude is bad input, named in plain integers
+    with pytest.raises(NotBent) as exc:
+        b_zero_slice_multiplicities(broken)
+    assert re.fullmatch(r"coefficient \[-?\d+(, -?\d+)*\] has \|W\|\^2 = \[.*\], not 5\^3",
+                        str(exc.value))
+
+    # a row of the bent magnitude that matches no shape is an internal fault
+    _refuse_shape(monkeypatch, spec.counts[20])
+    expected = _oracle_error(slice_per_row, spec)
     assert "no admissible shape" in expected
     # plain integers, not numpy scalar reprs such as np.int64(27)
     assert "np.int64" not in expected
     assert re.match(r"coefficient \[-?\d+(, -?\d+)*\] ", expected)
-    assert _oracle_error(b_zero_slice_multiplicities, broken) == expected
-    assert _oracle_error(_classify_rows, 5, counts, spec.dim) == _oracle_error(
-        classify_rows_per_row, 5, counts, spec.dim
+    assert _oracle_error(b_zero_slice_multiplicities, spec) == expected
+    assert _oracle_error(_classify_rows, 5, spec.dim, spec.counts, spec.dim) == _oracle_error(
+        classify_rows_per_row, 5, spec.counts, spec.dim
     )
+    assert _oracle_error(analyze, spec) == expected
+
+
+def _count_row_matches(monkeypatch) -> list:
+    """Record every norm_sq and match_shape call the classifier makes."""
+    import pbent.spectrum as spectrum
+
+    calls = []
+    norm_sq = CycInt.norm_sq
+
+    def counting_norm(w):
+        calls.append("norm_sq")
+        return norm_sq(w)
+
+    def counting_match(w, mag):
+        calls.append("match_shape")
+        return match_shape(w, mag)
+
+    monkeypatch.setattr(CycInt, "norm_sq", counting_norm)
+    monkeypatch.setattr(spectrum, "match_shape", counting_match)
+    return calls
 
 
 def test_slice_of_a_random_table_stops_at_the_first_unmatched_row(monkeypatch):
-    import pbent.spectrum as spectrum
-
     ctx = make_field(3, 4)
     rng = np.random.default_rng(3)
     f = PFunction.from_product_tables(ctx, [rng.integers(3, size=ctx.size) for _ in range(3)])
     spec = walsh_full(f)
-    expected = _oracle_error(slice_per_row, spec)
+    calls = _count_row_matches(monkeypatch)
+    with pytest.raises(NotBent, match=r"not 3\^5"):
+        b_zero_slice_multiplicities(spec)
+    assert calls == ["norm_sq"]
 
-    calls = []
 
-    def counting_match(w, mag):
-        calls.append(w)
-        return match_shape(w, mag)
+def test_analyze_of_a_random_table_stops_at_row_zero(monkeypatch):
+    ctx = make_field(3, 8)
+    spec = walsh_full(_random_field_function(ctx, np.random.default_rng(31)))
+    calls = _count_row_matches(monkeypatch)
+    rep = analyze(spec)
+    assert rep.classification == "NotApplicable"
+    assert not rep.is_bent and not rep.is_near_bent
+    assert rep.support_size == np.any(spec.counts != 0, axis=1).sum()
+    assert calls == ["norm_sq"]
 
-    monkeypatch.setattr(spectrum, "match_shape", counting_match)
-    assert _oracle_error(b_zero_slice_multiplicities, spec) == expected
-    assert len(calls) <= 2 * 3 + 2 < ctx.size
+
+def test_zero_row_rules_out_bent():
+    """A bent-magnitude row 0 and a zero row later: neither bent nor near-bent."""
+    ctx = make_field(3, 2)
+    spec = walsh_full(QuadraticSpec(ctx, ((1, 0),)).to_table())
+    counts = spec.counts.copy()
+    counts[5] = 0
+    rep = analyze(WalshSpectrum(3, 2, counts))
+    assert rep.classification == "NotApplicable"
+    assert not rep.is_bent and not rep.is_near_bent
+    from pbent.spectrum import _classify_rows
+
+    with pytest.raises(NotBent, match=r"\[0, 0, 0\] has \|W\|\^2 = \[0, 0, 0\], not 3\^2"):
+        _classify_rows(3, 2, counts, 2)
 
 
 def test_report_json_shape():
