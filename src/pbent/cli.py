@@ -175,6 +175,8 @@ def _cmd_scan(args) -> int:
     for key in ("p", "n", "components"):
         if key not in obj:
             raise ValidationError(f"scan template is missing the field {key!r}")
+    if args.confirm_spectrum:
+        _check_size(obj, "n", 1)
     ctx = make_field(int(obj["p"]), int(obj["n"]), obj.get("modulus"))
     comps = tuple(QuadraticSpec.from_json(c, ctx) for c in obj["components"])
     if len(comps) != ctx.p:

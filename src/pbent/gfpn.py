@@ -6,6 +6,13 @@ c_0 + c_1*x + ... + c_{n-1}*x^(n-1) modulo the field modulus. Index 0 is
 zero, index 1 is the multiplicative identity, and indices below p are the
 prime-subfield constants.
 
+Element arithmetic is digit vectors times n x n matrices over F_p: powers of
+the companion matrix C of the modulus (multiplication by x^k) and of the
+Frobenius matrix F (z -> z^(p^i)); the trace pairing is the matrix trace of
+C^i C^j. No operation builds a table of p^n entries except ctx.digits. Every
+int64 product-sum stays exact while p^n and n^2 (p-1)^2 are below 2^63, so
+make_field accepts exactly those fields: up to 3^39, 5^27 and 7^22.
+
 A FieldCtx is immutable after construction and safe to share; every
 operation is a pure function of its arguments. Moduli are stored constant
 term first with the leading coefficient 1 included.
@@ -187,7 +194,7 @@ class FieldCtx:
     """Everything needed to compute in one concrete model of F_{p^n}.
 
     Do not mutate after construction. Instances built through make_field are
-    cached and shared, so the lazy tables below are computed at most once per
+    cached and shared, so the lazy matrices below are computed at most once per
     (p, n, modulus).
     """
 
@@ -196,8 +203,6 @@ class FieldCtx:
         self.n = int(n)
         self.modulus = tuple(int(c) % self.p for c in modulus[:-1]) + (1,)
         self.size = self.p ** self.n
-        self._mod = list(self.modulus)
-        self._ptraces = self._power_traces()
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, n={self.n}, modulus={list(self.modulus)})"
@@ -215,12 +220,7 @@ class FieldCtx:
 
     def decode(self, a: int) -> list[int]:
         """Coefficient vector (c_0, ..., c_{n-1}) of element index a."""
-        p = self.p
-        out = []
-        for _ in range(self.n):
-            out.append(a % p)
-            a //= p
-        return out
+        return self.vector(a).tolist()
 
     def encode(self, coeffs) -> int:
         """Inverse of decode; accepts any iterable of at most n residues."""
@@ -241,21 +241,16 @@ class FieldCtx:
     # -- ring operations ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = self.decode(self._check(a)), self.decode(self._check(b))
-        return self.encode([(x + y) % p for x, y in zip(da, db)])
+        return self._index(self.vector(a) + self.vector(b))
 
     def neg(self, a: int) -> int:
-        p = self.p
-        return self.encode([(-x) % p for x in self.decode(self._check(a))])
+        return self._index(-self.vector(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._index(self.vector(a) - self.vector(b))
 
     def mul(self, a: int, b: int) -> int:
-        da = _trim(self.decode(self._check(a)))
-        db = _trim(self.decode(self._check(b)))
-        return self.encode(_pmod(_pmul(da, db, self.p), self._mod, self.p))
+        return self._index(self.vector(a) @ (self._companion_powers @ self.vector(b) % self.p))
 
     def inv(self, a: int) -> int:
         if self._check(a) == 0:
@@ -281,33 +276,20 @@ class FieldCtx:
         """a^(p^i); i is reduced mod n, so frobenius(a, n) = a."""
         if i < 0:
             raise ValueError("frobenius exponent must be nonnegative")
-        return int(self._frob_perm(i % self.n)[self._check(a)])
+        return self._index(self._frob_powers[i % self.n] @ self.vector(a))
 
     def trace(self, a: int) -> int:
-        tr = self._ptraces
-        p = self.p
-        return sum(c * tr[i] for i, c in enumerate(self.decode(self._check(a)))) % p
+        return int(self.gram[0] @ self.vector(a) % self.p)
 
-    # -- precomputed tables --------------------------------------------------
+    def vector(self, a: int) -> np.ndarray:
+        """Coefficient vector of element index a as an int64 array."""
+        return self._check(a) // self.index_weights % self.p
 
-    def _power_traces(self) -> list[int]:
-        """Traces Tr(x^j) for j = 0 .. 2n-2 (the Gram matrix needs j > n-1)."""
-        p, n, f = self.p, self.n, self._mod
-        out = []
-        for j in range(max(1, 2 * self.n - 1)):
-            t = _pmod([0] * j + [1], f, p)
-            s = list(t)
-            for _ in range(n - 1):
-                t = _ppowmod(t, p, f, p)
-                s = [
-                    ((s[i] if i < len(s) else 0) + (t[i] if i < len(t) else 0)) % p
-                    for i in range(max(len(s), len(t)))
-                ]
-            s = _trim(s)
-            if len(s) > 1:
-                raise RuntimeError("trace of a basis power is not in the prime field")
-            out.append(s[0] if s else 0)
-        return out
+    def _index(self, v: np.ndarray) -> int:
+        """Element index of the integer vector v reduced mod p."""
+        return int(v % self.p @ self.index_weights)
+
+    # -- matrices over F_p ---------------------------------------------------
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -323,66 +305,51 @@ class FieldCtx:
         return w
 
     @cached_property
+    def _companion_powers(self) -> np.ndarray:
+        """(n, n, n) stack: [k] is C^k mod p, the matrix of multiplication
+        by x^k, with C the companion matrix of the modulus."""
+        p, n = self.p, self.n
+        comp = np.eye(n, k=-1, dtype=np.int64)
+        comp[:, -1] = [-c % p for c in self.modulus[:-1]]
+        return _matrix_powers(comp, p)
+
+    @cached_property
+    def _frob_powers(self) -> np.ndarray:
+        """(n, n, n) stack: [i] is F^i mod p, the matrix of z -> z^(p^i);
+        column j of F is the coefficient vector of (x^j)^p."""
+        p, n = self.p, self.n
+        frob = np.array([self.vector(self.pow(p ** j, p)) for j in range(n)])
+        return _matrix_powers(frob.T, p)
+
+    @cached_property
     def gram(self) -> np.ndarray:
-        """Matrix of the trace pairing: gram[i, j] = Tr(x^i * x^j)."""
-        n = self.n
-        g = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = self._ptraces[i + j]
+        """Matrix of the trace pairing: gram[i, j] = Tr(x^i * x^j), the
+        matrix trace of C^i C^j (Lidl & Niederreiter, ch. 2)."""
+        c = self._companion_powers
+        g = np.einsum("iab,jba->ij", c, c) % self.p
         g.setflags(write=False)
         return g
 
     @cached_property
-    def trace_vector(self) -> np.ndarray:
-        v = np.array(self._ptraces[: self.n], dtype=np.int64)
-        v.setflags(write=False)
-        return v
-
-    @cached_property
-    def _frob_matrix(self) -> np.ndarray:
-        """Matrix of z -> z^p acting on coefficient vectors (columns = images)."""
-        p, n, f = self.p, self.n, self._mod
-        m = np.zeros((n, n), dtype=np.int64)
-        xp = _ppowmod([0, 1], p, f, p)
-        col = [1]
-        for j in range(n):
-            for i, c in enumerate(col):
-                m[i, j] = c
-            col = _pmod(_pmul(col, xp, p), f, p)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
     def _linmap_basis(self) -> np.ndarray:
         """(n^2, n^2) matrix: row i*n + k is the flattened matrix of
-        z -> x^k * z^(p^i), that is C^k F^i mod p with C the companion
-        matrix of the modulus (multiplication by x) and F = _frob_matrix."""
-        p, n = self.p, self.n
-        comp = np.eye(n, k=-1, dtype=np.int64)
-        comp[:, -1] = [-c % p for c in self.modulus[:-1]]
-        cpow, fpow = [np.eye(n, dtype=np.int64)], [np.eye(n, dtype=np.int64)]
-        for _ in range(n - 1):
-            cpow.append(comp @ cpow[-1] % p)
-            fpow.append(self._frob_matrix @ fpow[-1] % p)
-        out = np.einsum("kab,ibc->ikac", np.array(cpow), np.array(fpow)) % p
+        z -> x^k * z^(p^i), that is C^k F^i mod p."""
+        n = self.n
+        out = np.einsum("kab,ibc->ikac", self._companion_powers, self._frob_powers) % self.p
         out = out.reshape(n * n, n * n)
         out.setflags(write=False)
         return out
 
-    @lru_cache(maxsize=None)
-    def _frob_perm(self, i: int) -> np.ndarray:
-        """Index permutation a -> a^(p^i)."""
-        perm = linear_index_map(np.linalg.matrix_power(self._frob_matrix, i), self.p)
-        perm.setflags(write=False)
-        return perm
 
-    @cached_property
-    def trace_table(self) -> np.ndarray:
-        """Tr(a) for every index a."""
-        t = (self.digits @ self.trace_vector) % self.p
-        t.setflags(write=False)
-        return t
+def _matrix_powers(mat: np.ndarray, p: int) -> np.ndarray:
+    """Read-only (n, n, n) stack of mat^0 .. mat^(n-1) mod p."""
+    n = mat.shape[0]
+    out = np.empty((n, n, n), dtype=np.int64)
+    out[0] = np.eye(n, dtype=np.int64)
+    for k in range(1, n):
+        out[k] = mat @ out[k - 1] % p
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +443,21 @@ def linmap_matrix(ctx: FieldCtx, coeffs) -> np.ndarray:
 
 
 def solve_trace_equation(ctx: FieldCtx, beta: int, target: int) -> int:
-    """Smallest element index b with Tr(b * beta) = target."""
-    target %= ctx.p
+    """Smallest element index b with Tr(b * beta) = target. Tr(b * beta) is
+    b . lv on the digits of b, lv = gram . d(beta), so every b below p^j0 (j0
+    the lowest j with lv[j] != 0) gives 0 and b = target / lv[j0] * p^j0."""
+    p = ctx.p
+    target %= p
+    lv = ctx.gram @ ctx.vector(beta) % p
+    if target == 0:
+        return 0
     if beta == 0:
-        if target == 0:
-            return 0
         raise ZeroBeta("Tr(b * 0) is identically 0")
-    lv = np.array(
-        [ctx.trace(ctx.mul(ctx.p ** j, beta)) for j in range(ctx.n)], dtype=np.int64
-    )
-    vals = (ctx.digits @ lv) % ctx.p
-    hits = np.nonzero(vals == target)[0]
+    hits = np.flatnonzero(lv)
     if hits.size == 0:
         raise RuntimeError("trace form is degenerate; field construction is broken")
-    return int(hits[0])
+    j0 = int(hits[0])
+    return target * pow(int(lv[j0]), p - 2, p) % p * p ** j0
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +492,15 @@ def make_field(p: int, n: int, modulus=None) -> FieldCtx:
     first, length n+1, and must be monic and irreducible.
     """
     p, n = int(p), int(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    # n >= 63 implies p^n >= 2^63 for p >= 2 and spares computing p^n
+    if p > 1 and (n >= 63 or p ** n >= 2 ** 63 or n * n * (p - 1) ** 2 >= 2 ** 63):
+        raise ValueError(f"F_{{{p}^{n}}} is outside the supported range: p^n, n^2 (p-1)^2 < 2^63")
     if not _is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if p == 2:
         raise EvenCharacteristic("p = 2 is not supported")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:

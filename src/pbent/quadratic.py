@@ -18,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, field_to_json, kernel, linmap_matrix, make_field
+from .gfpn import FieldCtx, digit_array, field_to_json, kernel, linmap_matrix, make_field
 from .spectrum import PFunction
 
 
@@ -91,26 +91,11 @@ class QuadraticSpec:
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, x: int) -> int:
-        ctx = self.ctx
-        total = self.constant
-        for a, i in self.quad_terms:
-            total += ctx.trace(ctx.mul(a, ctx.mul(ctx.frobenius(x, i), x)))
-        if self.linear:
-            total += ctx.trace(ctx.mul(self.linear, x))
-        return total % ctx.p
+        return int(_values(self, self.ctx.vector(x)))
 
     def to_table(self) -> PFunction:
         """Vectorized evaluation over the whole field."""
-        ctx = self.ctx
-        d = ctx.digits
-        vals = np.einsum("bj,jk,bk->b", d, _bilinear_matrix(self), d) + self.constant
-        if self.linear:
-            lv = np.array(
-                [ctx.trace(ctx.mul(self.linear, ctx.p ** j)) for j in range(ctx.n)],
-                dtype=np.int64,
-            )
-            vals += d @ lv
-        return PFunction.from_field_table(ctx, vals % ctx.p)
+        return PFunction.from_field_table(self.ctx, _values(self, self.ctx.digits))
 
     def to_json(self) -> dict:
         obj = field_to_json(self.ctx)
@@ -144,6 +129,17 @@ def _bilinear_matrix(spec: QuadraticSpec) -> np.ndarray:
     for a, i in spec.quad_terms:
         coeffs[i] = ctx.add(coeffs[i], a)
     return ctx.gram @ linmap_matrix(ctx, coeffs) % ctx.p
+
+
+def _values(spec: QuadraticSpec, d: np.ndarray) -> np.ndarray:
+    """f at the elements with coefficient vectors d (the last axis):
+    d.B.d + d.(gram.d(linear)) + constant, with B = _bilinear_matrix(spec).
+    Each product sums n terms below p^2 before it is reduced."""
+    ctx = spec.ctx
+    p = ctx.p
+    lin = ctx.gram @ ctx.vector(spec.linear) % p
+    form = (d @ _bilinear_matrix(spec) + lin) % p
+    return ((d * form).sum(axis=-1) + spec.constant) % p
 
 
 @dataclass(frozen=True)
@@ -184,16 +180,9 @@ def polarization_level(spec: QuadraticSpec) -> int:
 
 def kernel_elements(ctx: FieldCtx, basis) -> frozenset:
     """All p^s elements spanned by kernel basis vectors (element indices)."""
-    elems = {0}
-    for b in basis:
-        new = set()
-        for e in elems:
-            acc = e
-            for _ in range(ctx.p - 1):
-                acc = ctx.add(acc, b)
-                new.add(acc)
-        elems |= new
-    return frozenset(elems)
+    vecs = np.array([ctx.vector(b) for b in basis], dtype=np.int64).reshape(-1, ctx.n)
+    elems = digit_array(ctx.p, len(vecs)) @ vecs % ctx.p @ ctx.index_weights
+    return frozenset(elems.tolist())
 
 
 def certificate(spec: QuadraticSpec) -> NearBentCertificate:

@@ -166,7 +166,10 @@ class WalshSpectrum:
 
     @property
     def support_size(self) -> int:
-        return int(np.any(self.counts != 0, axis=1).sum())
+        mask = self.counts[:, 0] != 0
+        for column in self.counts.T[1:]:
+            mask |= column != 0
+        return int(mask.sum())
 
 
 def check_transform_size(p: int, dim: int) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 
 from pbent.construct import AnfPoly, GluedSpec, _vandermonde
 from pbent.cyclotomic import CycInt, match_shape
-from pbent.gfpn import FieldCtx, invert_matrix
+from pbent.gfpn import FieldCtx, _pmod, _pmul, _ppowmod, _trim, invert_matrix, linear_index_map
 from pbent.spectrum import (
     PFunction,
     ShapeMismatch,
@@ -260,3 +260,92 @@ def rref_per_row(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+# ---------------------------------------------------------------------------
+# field arithmetic through polynomials and p^n-sized tables
+
+
+def mul_polynomial(ctx: FieldCtx, a: int, b: int) -> int:
+    """a * b as a polynomial product reduced by the modulus."""
+    da, db = _trim(ctx.decode(a)), _trim(ctx.decode(b))
+    return ctx.encode(_pmod(_pmul(da, db, ctx.p), list(ctx.modulus), ctx.p))
+
+
+@lru_cache(maxsize=None)
+def frobenius_table(ctx: FieldCtx, i: int) -> np.ndarray:
+    """Index permutation a -> a^(p^i) of the whole field, through the i-th
+    power of the matrix whose column j is x^(jp) reduced by polynomial
+    powering."""
+    p, n, f = ctx.p, ctx.n, list(ctx.modulus)
+    frob = np.zeros((n, n), dtype=np.int64)
+    xp = _ppowmod([0, 1], p, f, p)
+    col = [1]
+    for j in range(n):
+        frob[: len(col), j] = col
+        col = _pmod(_pmul(col, xp, p), f, p)
+    return linear_index_map(np.linalg.matrix_power(frob, i), p)
+
+
+@lru_cache(maxsize=None)
+def power_traces(ctx: FieldCtx) -> tuple:
+    """Tr(x^j) for j = 0 .. 2n-2, each as the sum of the n conjugates
+    x^(j p^k) computed by polynomial powering."""
+    p, n, f = ctx.p, ctx.n, list(ctx.modulus)
+    out = []
+    for j in range(max(1, 2 * n - 1)):
+        t = _pmod([0] * j + [1], f, p)
+        s = list(t)
+        for _ in range(n - 1):
+            t = _ppowmod(t, p, f, p)
+            s = [
+                ((s[i] if i < len(s) else 0) + (t[i] if i < len(t) else 0)) % p
+                for i in range(max(len(s), len(t)))
+            ]
+        s = _trim(s)
+        if len(s) > 1:
+            raise RuntimeError("trace of a basis power is not in the prime field")
+        out.append(s[0] if s else 0)
+    return tuple(out)
+
+
+def trace_power_traces(ctx: FieldCtx, a: int) -> int:
+    """Tr(a) = sum_j c_j Tr(x^j) over the coefficients c_j of a."""
+    tr = power_traces(ctx)
+    return sum(c * tr[j] for j, c in enumerate(ctx.decode(a))) % ctx.p
+
+
+def solve_trace_equation_scan(ctx: FieldCtx, beta: int, target: int) -> int:
+    """Smallest b with Tr(b * beta) = target, by scanning the trace
+    functional over the digits of every element."""
+    lv = np.array(
+        [trace_power_traces(ctx, mul_polynomial(ctx, ctx.p ** j, beta)) for j in range(ctx.n)],
+        dtype=np.int64,
+    )
+    hits = np.nonzero(ctx.digits @ lv % ctx.p == target % ctx.p)[0]
+    return int(hits[0])
+
+
+def evaluate_per_term(spec, x: int) -> int:
+    """f(x) term by term: Tr(a x^(p^i) x) per quadratic term, Tr(bx), constant."""
+    ctx = spec.ctx
+    total = spec.constant
+    for a, i in spec.quad_terms:
+        xi = int(frobenius_table(ctx, i)[x])
+        total += trace_power_traces(ctx, mul_polynomial(ctx, a, mul_polynomial(ctx, xi, x)))
+    total += trace_power_traces(ctx, mul_polynomial(ctx, spec.linear, x))
+    return total % ctx.p
+
+
+def kernel_elements_loop(ctx: FieldCtx, basis) -> frozenset:
+    """All p^s elements spanned by the basis, adding one multiple at a time."""
+    elems = {0}
+    for b in basis:
+        new = set()
+        for e in elems:
+            acc = e
+            for _ in range(ctx.p - 1):
+                acc = ctx.add(acc, b)
+                new.add(acc)
+        elems |= new
+    return frozenset(elems)

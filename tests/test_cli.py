@@ -48,6 +48,12 @@ def test_field_accepts_irreducible_modulus(capsys):
     assert payload(out)["result"]["modulus"] == [2, 0, 1, 0, 1]
 
 
+def test_field_outside_the_supported_range_exits_2(capsys):
+    rc, out, err = run(capsys, ["field", "--p", "3", "--n", "40"])
+    assert (rc, out) == (2, "")
+    assert "outside the supported range" in err
+
+
 def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
     def broken(_f):
         raise RuntimeError("Parseval identity failed; transform is broken")
@@ -200,6 +206,22 @@ def test_oversized_glued_spec_exits_2_before_building(tmp_path, capsys, monkeypa
     nop.write_text(json.dumps({"n": 4, **component}))
     rc, _, err = run(capsys, ["analyze", str(nop)])
     assert rc == 2 and "'p'" in err
+
+
+def test_oversized_confirmed_scan_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    from pbent.quadratic import QuadraticSpec
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built an oversized input")
+
+    monkeypatch.setattr(cli, "make_field", no_build)
+    monkeypatch.setattr(QuadraticSpec, "to_table", no_build)
+    component = {"quad_terms": [{"a_index": 1, "i": 2}, {"a_index": 1, "i": 1}]}
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"p": 3, "n": 20, "components": [component] * 3}))
+    rc, out, err = run(capsys, ["scan", str(src), "--confirm-spectrum"])
+    assert (rc, out) == (2, "")
+    assert err == "error: domain of 3^21 points too large for the exact int64 transform\n"
 
 
 SCAN_TEMPLATE = {

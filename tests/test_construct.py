@@ -200,6 +200,30 @@ def test_predict_regularity_examples():
     assert spectral_regularity(build_example(6)) == "WeaklyRegular"
 
 
+def test_arrange_and_predict_build_no_field_table(monkeypatch):
+    """Glueing and predicting at 3^16 is n x n linear algebra: nothing may
+    build a table of p^n = 43 million entries."""
+    from pbent import gfpn, quadratic, spectrum
+
+    real_digit_array = gfpn.digit_array
+
+    def small_digit_array(p, dim):
+        if dim > 1:
+            raise AssertionError(f"built a table of {p}^{dim} digit rows")
+        return real_digit_array(p, dim)
+
+    def no_index_map(mat, p):
+        raise AssertionError("built a field-sized index map")
+
+    for module in (gfpn, quadratic, spectrum):
+        monkeypatch.setattr(module, "digit_array", small_digit_array, raising=False)
+        monkeypatch.setattr(module, "linear_index_map", no_index_map, raising=False)
+    g = binomial_spec(make_field(3, 16), 2, 1, "plus")
+    # n - 1 is odd, so the scalar 2 (a non-square) flips eta(Delta)
+    assert predict_regularity(arrange((g, g, g), (1, 1, 1))) == "WeaklyRegular"
+    assert predict_regularity(arrange((g, g, g), (1, 2, 1))) == "NonWeaklyRegular"
+
+
 def test_spectral_regularity_rejects_non_bent():
     ctx = make_field(3, 4)
     g = binomial_spec(ctx, 2, 1, "minus")

@@ -22,10 +22,15 @@ from pbent.gfpn import (
 from pbent.gfpn import _is_irreducible
 
 from oracles import (
+    frobenius_table,
     linmap_matrix_per_element,
     monic_polynomials,
+    mul_polynomial,
+    power_traces,
     reducible_monics,
     rref_per_row,
+    solve_trace_equation_scan,
+    trace_power_traces,
 )
 
 FIELDS = [(p, n) for p, max_n in ((3, 6), (5, 4), (7, 3)) for n in range(1, max_n + 1)]
@@ -105,6 +110,37 @@ def test_bad_parameters():
         make_field(3, 2, (1, 1))  # wrong degree
 
 
+def test_supported_range_is_checked_before_the_modulus_search():
+    # p^n < 2^63 and n^2 (p-1)^2 < 2^63: the largest fields are 3^39, 5^27, 7^22
+    for p, n in ((3, 40), (5, 28), (7, 23)):
+        with pytest.raises(ValueError, match="supported range"):
+            make_field(p, n)
+    # at n = 2 the bound is (p-1) < 2^30.5; 1518500213 and 1518500279 are
+    # the primes on either side of it
+    with pytest.raises(ValueError, match="supported range"):
+        make_field(1518500279, 2)
+    ctx = make_field(1518500213, 2)
+    rng = np.random.default_rng(5)
+    elems = [ctx.size - 1, ctx.size - 2, *rng.integers(ctx.size, size=20).tolist()]
+    for a in elems:
+        assert ctx.trace(a) == trace_power_traces(ctx, a)
+        assert ctx.frobenius(a, 1) == ctx.pow(a, ctx.p)
+        for b in elems:
+            assert ctx.mul(a, b) == mul_polynomial(ctx, a, b)
+
+
+def test_largest_field_of_characteristic_3():
+    # x^39 + x^5 + 2x^3 + x^2 + 2, the canonical modulus of F_{3^39}
+    ctx = make_field(3, 39, (2, 0, 1, 2, 0, 1) + (0,) * 33 + (1,))
+    top = ctx.size - 1
+    assert ctx.mul(top, ctx.inv(top)) == 1
+    assert ctx.frobenius(top, 39) == top
+    assert ctx.frobenius(top, 1) == ctx.pow(top, 3)
+    assert ctx.trace(ctx.frobenius(top, 7)) == ctx.trace(top)
+    b = solve_trace_equation(ctx, top, 2)
+    assert ctx.trace(ctx.mul(b, top)) == 2
+
+
 def test_make_field_is_cached():
     assert make_field(3, 4) is make_field(3, 4)
 
@@ -171,13 +207,40 @@ def test_frobenius_is_pth_power_and_additive():
 @pytest.mark.parametrize("p, n", FIELDS)
 def test_frobenius_permutations_are_pth_powers(p, n):
     ctx = make_field(p, n)
-    perms = [ctx._frob_perm(i) for i in range(n)]
     for a in range(ctx.size):
         x = a
         for i in range(n):
-            assert perms[i][a] == x
+            assert ctx.frobenius(a, i) == x
             x = ctx.pow(x, p)
         assert x == a
+
+
+@pytest.mark.parametrize("p, n", FIELDS)
+def test_matrix_arithmetic_matches_table_and_polynomial_oracles(p, n):
+    """mul, frobenius, trace and gram on every element against the
+    polynomial product, the Frobenius index tables and the power traces."""
+    ctx = make_field(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    others = sorted({0, 1, p % ctx.size, ctx.size - 1, *rng.integers(ctx.size, size=12).tolist()})
+    tables = [frobenius_table(ctx, i) for i in range(n)]
+    for a in range(ctx.size):
+        for b in others:
+            assert ctx.mul(a, b) == mul_polynomial(ctx, a, b)
+        for i in range(n + 1):
+            assert ctx.frobenius(a, i) == tables[i % n][a]
+        assert ctx.trace(a) == trace_power_traces(ctx, a)
+    ptraces = power_traces(ctx)
+    assert ctx.gram.tolist() == [[ptraces[i + j] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("p, n", FIELDS)
+def test_solve_trace_equation_matches_table_scan(p, n):
+    ctx = make_field(p, n)
+    for beta in range(1, ctx.size):
+        for target in range(p):
+            assert solve_trace_equation(ctx, beta, target) == solve_trace_equation_scan(
+                ctx, beta, target
+            )
 
 
 @pytest.mark.parametrize("p, rows, cols", [(3, 4, 4), (5, 2, 3), (7, 3, 2), (131, 2, 2)])
@@ -219,7 +282,7 @@ def test_trace_is_balanced():
 
 def test_trace_table_matches_scalar():
     ctx = make_field(5, 2)
-    assert all(ctx.trace_table[a] == ctx.trace(a) for a in range(ctx.size))
+    assert all(ctx.trace(a) == trace_power_traces(ctx, a) for a in range(ctx.size))
 
 
 def test_square_root_of_minus_one_witnesses():

@@ -30,6 +30,10 @@ from pbent.quadratic import (
 )
 from pbent.spectrum import analyze, walsh_full
 
+from oracles import evaluate_per_term, kernel_elements_loop
+
+FIELDS = [(p, n) for p, max_n in ((3, 6), (5, 4), (7, 3)) for n in range(1, max_n + 1)]
+
 
 def test_spec_normalization_and_validation():
     ctx = make_field(3, 3)
@@ -55,7 +59,26 @@ def test_table_matches_scalar_evaluation():
             constant=rng.randrange(3),
         )
         table = q.to_table().table
-        assert all(table[x] == q.evaluate(x) for x in range(ctx.size))
+        assert all(table[x] == evaluate_per_term(q, x) for x in range(ctx.size))
+
+
+@pytest.mark.parametrize("p, n", FIELDS)
+def test_evaluation_and_kernel_span_match_per_term_oracles(p, n):
+    ctx = make_field(p, n)
+    rng = random.Random(10 * p + n)
+    for terms in (0, 1, 3):
+        q = QuadraticSpec(
+            ctx,
+            tuple((rng.randrange(ctx.size), rng.randrange(n)) for _ in range(terms)),
+            linear=rng.randrange(ctx.size),
+            constant=rng.randrange(p),
+        )
+        expected = [evaluate_per_term(q, x) for x in range(ctx.size)]
+        assert q.to_table().table.tolist() == expected
+        assert [q.evaluate(x) for x in range(ctx.size)] == expected
+    for s in range(n + 1):
+        basis = tuple(rng.randrange(ctx.size) for _ in range(s))
+        assert kernel_elements(ctx, basis) == kernel_elements_loop(ctx, basis)
 
 
 def test_scale_and_with_linear():
