@@ -21,8 +21,8 @@ from .quadratic import (
     QuadraticSpec,
     binomial_spec,
     certificate,
+    certificates,
     delta_eta,
-    kernel_elements,
 )
 from .spectrum import PFunction, analyze, walsh_full
 
@@ -99,14 +99,14 @@ def arrange(components, scalars, b_witnesses=None) -> GluedSpec:
         raise ValueError("need exactly p nonzero scalars")
 
     scaled = tuple(g.scale(c) for g, c in zip(components, scalars))
-    certs = [certificate(g) for g in scaled]
+    certs = certificates(scaled)
     for k, cert in enumerate(certs):
         if cert.s != 1:
             raise NotNearBent(k, cert.s)
-    kernels = [kernel_elements(ctx, cert.kernel_basis) for cert in certs]
-    if any(kern != kernels[0] for kern in kernels[1:]):
+    # beta, the smallest nonzero kernel element, tells one-dimensional kernels apart
+    if len({cert.beta for cert in certs}) != 1:
         raise KernelMismatch("components have different polarization kernels")
-    beta = min(e for e in kernels[0] if e != 0)
+    beta = certs[0].beta
 
     gvals = [g.evaluate(beta) for g in scaled]
     if b_witnesses is None:

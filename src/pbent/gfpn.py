@@ -129,34 +129,25 @@ def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _is_irreducible(f: list[int], p: int) -> bool:
     """Rabin's criterion for a monic polynomial f over F_p.
 
     Requires x^(p^n) = x mod f together with gcd(x^(p^d) - x, f) = 1 for
     every proper divisor d of n; the gcd checks alone would wrongly accept
-    e.g. a quintic splitting into degrees 2 + 3.
+    e.g. a quintic splitting into degrees 2 + 3. Each gcd is taken as soon
+    as x^(p^d) is known, so a candidate with a linear factor fails after
+    one p-th powering.
     """
     n = len(f) - 1
     if n == 1:
         return True
     x = [0, 1]
     t = x
-    power = {}
-    for d in range(1, n + 1):
+    for d in range(1, n):
         t = _ppowmod(t, p, f, p)
-        power[d] = t
-    if _psub(power[n], x, p):
-        return False
-    for d in _divisors(n):
-        if d == n:
-            continue
-        if len(_pgcd(_psub(power[d], x, p), f, p)) != 1:
+        if n % d == 0 and len(_pgcd(_psub(t, x, p), f, p)) != 1:
             return False
-    return True
+    return not _psub(_ppowmod(t, p, f, p), x, p)
 
 
 def digit_array(p: int, dim: int) -> np.ndarray:
@@ -363,7 +354,6 @@ def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     to 1 and clears the column in every other row.
     """
     count, rows, cols = m.shape
-    inverse = np.array([pow(v, p - 2, p) for v in range(p)], dtype=np.int64)
     next_row = np.zeros(count, dtype=np.int64)
     pivots = np.zeros((count, cols), dtype=bool)
     for c in range(cols):
@@ -374,7 +364,10 @@ def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         r, k = next_row[sel], cand[sel].argmax(axis=1)
         top = m[sel, k]
         m[sel, k] = m[sel, r]
-        top = top * inverse[top[:, c]][:, None] % p
+        inv, base, e = np.ones(sel.size, dtype=np.int64), top[:, c], p - 2
+        while e:  # inv = base^(p-2), the inverse mod p, one squaring per bit
+            inv, base, e = (inv * base % p if e & 1 else inv), base * base % p, e >> 1
+        top = top * inv[:, None] % p
         m[sel, r] = top
         factor = m[sel, :, c]
         factor[np.arange(sel.size), r] = 0
@@ -400,21 +393,23 @@ def rank(mat: np.ndarray, p: int):
     return int(ranks[0]) if m.ndim == 2 else ranks.reshape(m.shape[:-2])
 
 
-def kernel(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Deterministic basis of the null space of mat over F_p.
+def kernel(mat: np.ndarray, p: int) -> list:
+    """Deterministic basis of the null space of mat over F_p, or the list of
+    bases of an (N, rows, cols) stack from one elimination over the stack.
 
     One basis vector per free column, in increasing column order, with a 1 in
     the free position.
     """
-    m, pivots = rref(mat, p)
-    cols = m.shape[1]
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        v[pivots] = -m[: len(pivots), f] % p
-        basis.append(v)
-    return basis
+    m = np.array(mat, dtype=np.int64) % p
+    stack, pivots = _rref_stack(m.reshape((-1,) + m.shape[-2:]), p)
+    bases = []
+    for red, piv in zip(stack, pivots):
+        cols, free = np.flatnonzero(piv), np.flatnonzero(~piv)
+        basis = np.zeros((free.size, m.shape[-1]), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, cols] = -red[: cols.size, free].T % p
+        bases.append(list(basis))
+    return bases[0] if m.ndim == 2 else bases
 
 
 def invert_matrix(mat: np.ndarray, p: int) -> np.ndarray:

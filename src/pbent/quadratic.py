@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -153,22 +153,25 @@ class NearBentCertificate:
     beta: int | None
 
 
-def linearized(spec: QuadraticSpec) -> list[int]:
+def linearized(specs) -> np.ndarray:
     """Coefficients (by Frobenius power) of L with
-    f(y+z) - f(y) - f(z) = Tr(y^(p^l) L(z)), l the largest stored exponent.
+    f(y+z) - f(y) - f(z) = Tr(y^(p^l) L(z)), l the largest stored exponent:
+    an (n,) row of element indices for one spec, a (K, n) array for K specs
+    over one field. On the digits d(a) of a, a term (a, i) adds F^l d(a) at
+    position l + i and F^(l-i) d(a) at l - i (mod n), F the Frobenius matrix.
     """
-    if not spec.quad_terms:
-        raise EmptyQuadraticPart("no quadratic terms")
-    ctx = spec.ctx
-    n = ctx.n
-    l = max(i for _, i in spec.quad_terms)
-    coeffs = [0] * n
-    for a, i in spec.quad_terms:
-        e1 = (l + i) % n
-        e2 = (l - i) % n
-        coeffs[e1] = ctx.add(coeffs[e1], ctx.frobenius(a, l))
-        coeffs[e2] = ctx.add(coeffs[e2], ctx.frobenius(a, l - i))
-    return coeffs
+    batch = [specs] if isinstance(specs, QuadraticSpec) else list(specs)
+    ctx = batch[0].ctx
+    levels = [polarization_level(q) for q in batch]
+    terms = [(k, a, i, levels[k]) for k, q in enumerate(batch) for a, i in q.quad_terms]
+    k, a, i, l = np.array(terms, dtype=np.int64).reshape(-1, 4).T
+    digits = np.tile(a[:, None] // ctx.index_weights % ctx.p, (2, 1))
+    frob = ctx._frob_powers[np.concatenate([l, l - i])]
+    images = np.einsum("tab,tb->ta", frob, digits) % ctx.p
+    acc = np.zeros((len(batch), ctx.n, ctx.n), dtype=np.int64)
+    np.add.at(acc, (np.tile(k, 2), np.concatenate([l + i, l - i]) % ctx.n), images)
+    rows = acc % ctx.p @ ctx.index_weights
+    return rows[0] if isinstance(specs, QuadraticSpec) else rows
 
 
 def polarization_level(spec: QuadraticSpec) -> int:
@@ -185,17 +188,24 @@ def kernel_elements(ctx: FieldCtx, basis) -> frozenset:
     return frozenset(elems.tolist())
 
 
+def certificates(specs) -> list[NearBentCertificate]:
+    """Kernel dimension s of L plus a canonical generator when s = 1, for
+    every spec: one linmap_matrix stack and one elimination per field."""
+    specs = list(specs)
+    out = [None] * len(specs)
+    for ctx in {q.ctx for q in specs}:
+        idx = [k for k, q in enumerate(specs) if q.ctx == ctx]
+        bases = kernel(linmap_matrix(ctx, linearized([specs[k] for k in idx])), ctx.p)
+        for k, vecs in zip(idx, bases):
+            basis = tuple(ctx.encode(v) for v in vecs)
+            beta = min(kernel_elements(ctx, basis) - {0}) if len(basis) == 1 else None
+            out[k] = NearBentCertificate(len(basis), basis, beta)
+    return out
+
+
 def certificate(spec: QuadraticSpec) -> NearBentCertificate:
-    """Kernel dimension s of L plus a canonical generator when s = 1."""
-    ctx = spec.ctx
-    mat = linmap_matrix(ctx, linearized(spec))
-    basis_vecs = kernel(mat, ctx.p)
-    basis = tuple(ctx.encode(v) for v in basis_vecs)
-    s = len(basis)
-    beta = None
-    if s == 1:
-        beta = min(e for e in kernel_elements(ctx, basis) if e != 0)
-    return NearBentCertificate(s, basis, beta)
+    """The certificate of one spec."""
+    return certificates([spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +358,7 @@ def delta_eta_of_matrix(a: np.ndarray, p: int) -> int:
         raise DegenerateForm(
             f"rank deficit {a.shape[0] - len(diag)} > 1; discriminant undefined"
         )
-    prod = 1
-    for v in diag:
-        prod = (prod * v) % p
-    return eta(p, prod)
+    return eta(p, prod(diag) % p)
 
 
 def delta_eta(spec: QuadraticSpec) -> int:

@@ -7,7 +7,17 @@ import numpy as np
 
 from pbent.construct import AnfPoly, GluedSpec, _vandermonde
 from pbent.cyclotomic import CycInt, match_shape
-from pbent.gfpn import FieldCtx, _pmod, _pmul, _ppowmod, _trim, invert_matrix, linear_index_map
+from pbent.gfpn import (
+    FieldCtx,
+    _pmod,
+    _pmul,
+    _ppowmod,
+    _trim,
+    invert_matrix,
+    linear_index_map,
+    make_field,
+)
+from pbent.quadratic import NearBentCertificate, QuadraticSpec
 from pbent.spectrum import (
     PFunction,
     ShapeMismatch,
@@ -349,3 +359,57 @@ def kernel_elements_loop(ctx: FieldCtx, basis) -> frozenset:
                 new.add(acc)
         elems |= new
     return frozenset(elems)
+
+
+# ---------------------------------------------------------------------------
+# quadratic certificates one spec and one element at a time
+
+
+def linearized_per_element(spec) -> list[int]:
+    """Coefficients of L term by term: a^(p^l) at l + i and a^(p^(l-i)) at
+    l - i (mod n), one ctx.add and ctx.frobenius per term."""
+    ctx = spec.ctx
+    n = ctx.n
+    l = max(i for _, i in spec.quad_terms)
+    coeffs = [0] * n
+    for a, i in spec.quad_terms:
+        e1 = (l + i) % n
+        e2 = (l - i) % n
+        coeffs[e1] = ctx.add(coeffs[e1], ctx.frobenius(a, l))
+        coeffs[e2] = ctx.add(coeffs[e2], ctx.frobenius(a, l - i))
+    return coeffs
+
+
+def certificate_per_spec(spec) -> NearBentCertificate:
+    """Kernel of L from its per-element matrix and a row-by-row elimination;
+    beta is the smallest nonzero multiple of the basis vector when s = 1."""
+    ctx, p = spec.ctx, spec.ctx.p
+    m, pivots = rref_per_row(linmap_matrix_per_element(ctx, linearized_per_element(spec)), p)
+    basis = []
+    for f in (c for c in range(ctx.n) if c not in pivots):
+        v = [0] * ctx.n
+        v[f] = 1
+        for row, c in enumerate(pivots):
+            v[c] = int(-m[row, f] % p)
+        basis.append(ctx.encode(v))
+    beta = min(kernel_elements_loop(ctx, basis) - {0}) if len(basis) == 1 else None
+    return NearBentCertificate(len(basis), tuple(basis), beta)
+
+
+def scaling_pairs_per_draw(rng) -> list:
+    """The discriminant-scaling draws of verify-paper criterion 9 as first
+    written: draw specs one at a time, certify each on its own, and draw c
+    right after every near-bent one, until there are 100 (spec, c) pairs."""
+    fields = [make_field(3, 4), make_field(3, 5), make_field(5, 3)]
+    pairs = []
+    while len(pairs) < 100:
+        ctx = rng.choice(fields)
+        terms = tuple(
+            (rng.randrange(1, ctx.size), rng.randrange(ctx.n))
+            for _ in range(rng.choice((1, 2)))
+        )
+        q = QuadraticSpec(ctx, terms)
+        if certificate_per_spec(q).s != 1:
+            continue
+        pairs.append((q, rng.randrange(1, ctx.p)))
+    return pairs

@@ -420,6 +420,10 @@ def test_stacked_elimination_matches_per_row_oracle(p):
             assert np.array_equal(reduced, expected)
             assert got_pivots == pivots
             assert got == len(pivots) == rank(mat, p)
+        # one elimination gives every matrix its null space basis
+        for mat, basis, got in zip(stack, kernel(stack, p), ranks):
+            assert len(basis) == mat.shape[1] - got
+            assert all(not np.any(mat @ v % p) for v in basis)
     # a (2, 3, rows, cols) stack gives a (2, 3) array of ranks
     stack = rng.integers(0, p, size=(6, 4, 4))
     assert np.array_equal(rank(stack.reshape(2, 3, 4, 4), p), rank(stack, p).reshape(2, 3))

@@ -1,10 +1,11 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 from pbent.cyclotomic import eta
-from pbent.gfpn import make_field, rank
+from pbent.gfpn import kernel, linmap_matrix, make_field, rank
 from pbent.quadratic import (
     DegenerateExponents,
     DegenerateForm,
@@ -15,6 +16,7 @@ from pbent.quadratic import (
     binomial_near_bent,
     binomial_spec,
     certificate,
+    certificates,
     circulant_delta,
     delta_eta,
     delta_eta_of_matrix,
@@ -30,7 +32,12 @@ from pbent.quadratic import (
 )
 from pbent.spectrum import analyze, walsh_full
 
-from oracles import evaluate_per_term, kernel_elements_loop
+from oracles import (
+    certificate_per_spec,
+    evaluate_per_term,
+    kernel_elements_loop,
+    linearized_per_element,
+)
 
 FIELDS = [(p, n) for p, max_n in ((3, 6), (5, 4), (7, 3)) for n in range(1, max_n + 1)]
 
@@ -100,9 +107,53 @@ def test_linearized_monomial_structure():
     q = QuadraticSpec(ctx, ((a, 1),))
     coeffs = linearized(q)
     assert polarization_level(q) == 1
-    assert coeffs == [a, 0, ctx.frobenius(a, 1)]
+    assert coeffs.tolist() == [a, 0, ctx.frobenius(a, 1)]
     with pytest.raises(EmptyQuadraticPart):
         linearized(QuadraticSpec(ctx, (), linear=1))
+
+
+def test_stacked_certificates_match_per_spec_oracle():
+    # one batch across all fields: 1-3 terms, zero coefficients and repeated
+    # exponents; certificates groups it by field and keeps the order
+    rng = random.Random(67)
+    specs = []
+    for p, max_n in ((3, 8), (5, 4), (7, 3)):
+        for n in range(1, max_n + 1):
+            ctx = make_field(p, n)
+            for _ in range(40):
+                terms = [(rng.randrange(ctx.size), rng.randrange(n))
+                         for _ in range(rng.choice((1, 2, 3)))]
+                if rng.random() < 0.25:
+                    terms.append((0, terms[0][1]))
+                if rng.random() < 0.25:
+                    terms.append((rng.randrange(ctx.size), terms[0][1] + n))
+                specs.append(QuadraticSpec(ctx, tuple(terms)))
+    rng.shuffle(specs)
+    certs = certificates(specs)
+    assert len(certs) == len(specs)
+    assert {c.s for c in certs} >= {0, 1, 2}
+    for q, cert in zip(specs, certs):
+        assert linearized(q).tolist() == linearized_per_element(q)
+        assert cert == certificate_per_spec(q) == certificate(q), q
+    for ctx in {q.ctx for q in specs}:
+        group = [q for q in specs if q.ctx == ctx]
+        assert linearized(group).tolist() == [linearized_per_element(q) for q in group]
+    assert certificates([]) == []
+
+
+def test_kernel_at_the_largest_characteristic_is_fast():
+    # the elimination inverts only the pivot values it meets, so a field
+    # with p near 2^30.5 costs no more than F_9; x^2 + 2 is the modulus,
+    # so Tr(x) = 0 and Tr(x z^(p+1)) polarizes to (x + x^p) z = 0
+    ctx = make_field(1518500213, 2)
+    p = ctx.p
+    assert ctx.modulus == (2, 0, 1)
+    start = time.perf_counter()
+    one = kernel(linmap_matrix(ctx, linearized(QuadraticSpec(ctx, ((1, 1),)))), p)
+    x = kernel(linmap_matrix(ctx, linearized(QuadraticSpec(ctx, ((p, 1),)))), p)
+    assert time.perf_counter() - start < 0.5
+    assert one == []
+    assert [v.tolist() for v in x] == [[1, 0], [0, 1]]
 
 
 def test_polarization_identity():

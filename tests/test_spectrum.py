@@ -15,6 +15,7 @@ from pbent.spectrum import (
     _check_parseval,
     analyze,
     b_zero_slice_multiplicities,
+    check_transform_size,
     walsh_full,
     walsh_naive,
     walsh_naive_full,
@@ -161,6 +162,11 @@ def test_size_guard_fires_before_any_allocation():
     # raise AttributeError instead
     with pytest.raises(ValueError, match="too large"):
         walsh_full(SimpleNamespace(p=3, dim=20))
+    # the largest domains under 2^26 points pass; the next ones do not
+    for p, dim in ((3, 16), (5, 11), (7, 9)):
+        check_transform_size(p, dim)
+        with pytest.raises(ValueError, match=r"2\^26-point transform limit"):
+            walsh_full(SimpleNamespace(p=p, dim=dim + 1))
 
 
 def test_naive_full_is_a_small_domain_oracle():

@@ -1,7 +1,17 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
 from pbent import verify
+from pbent.cyclotomic import eta
+from pbent.quadratic import delta_eta
+
+from oracles import certificate_per_spec, scaling_pairs_per_draw
+
+# sha256 of repr([(p, n, quad_terms, c), ...]) over the 100 pairs that the
+# per-draw scaling loop of criterion 9 checked
+PER_DRAW_SCALING_PAIRS = "c277e2116d0920d354b923467c4133a06ae56b4445e267b85f9fac692c5d05c0"
 
 
 def test_slice_multiplicities_are_checked_exactly(monkeypatch):
@@ -43,3 +53,40 @@ def test_verify_paper_payload_matches_golden_file():
         del obj["seconds"]
         payload.append(obj)
     assert json.loads(json.dumps(payload)) == golden
+
+
+def test_scaling_law_draws_keep_their_coverage(monkeypatch):
+    # criterion 9 ranks a whole chunk of draws before it draws any c, so it
+    # checks other specs than the per-draw loop it replaced; from the same
+    # rng state that loop still draws its frozen 100 pairs and the law holds
+    # on them, and the chunk's stacked kernel dimensions agree with one
+    # certificate per spec up to the 100th near-bent draw
+    states, checked = [], []
+
+    def recording(rng):
+        states.append(rng.getstate())
+        checked.extend(real(rng))
+        return checked
+
+    real = verify._scaling_pairs
+    monkeypatch.setattr(verify, "_scaling_pairs", recording)
+    passed, details = verify._criterion_9()
+    assert passed and details["scaling_specs"] == len(checked) == 100
+
+    rng = random.Random()
+    rng.setstate(states[0])
+    old = scaling_pairs_per_draw(rng)
+    key = repr([(q.ctx.p, q.ctx.n, q.quad_terms, c) for q, c in old])
+    assert hashlib.sha256(key.encode()).hexdigest() == PER_DRAW_SCALING_PAIRS
+    for q, c in old:
+        assert delta_eta(q.scale(c)) == eta(q.ctx.p, c) ** (q.ctx.n - 1) * delta_eta(q)
+
+    rng.setstate(states[0])
+    near_bent = []
+    for q, s in zip(*verify._scaling_chunk(rng)):
+        assert s == certificate_per_spec(q).s
+        if s == 1:
+            near_bent.append(q)
+        if len(near_bent) == 100:
+            break
+    assert [q for q, _ in checked] == near_bent
