@@ -142,9 +142,9 @@ def test_stacked_certificates_match_per_spec_oracle():
 
 
 def test_kernel_at_the_largest_characteristic_is_fast():
-    # the elimination inverts only the pivot values it meets, so a field
-    # with p near 2^30.5 costs no more than F_9; x^2 + 2 is the modulus,
-    # so Tr(x) = 0 and Tr(x z^(p+1)) polarizes to (x + x^p) z = 0
+    # the elimination inverts only the pivot values it meets, with no table
+    # of all p inverses; x^2 + 2 is the modulus, so x^p = -x and
+    # Tr(x z^(p+1)) polarizes to (x + x^p) z = 0, while Tr(z^(p+1)) gives 2z
     ctx = make_field(1518500213, 2)
     p = ctx.p
     assert ctx.modulus == (2, 0, 1)

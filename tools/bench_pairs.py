@@ -37,7 +37,6 @@ def checkout(path: str) -> dict:
     """The commit and src/ tree a checkout runs, and whether its program or
     benchmark files differ from that commit."""
     return {
-        "path": os.path.abspath(path),
         "commit": git(path, "rev-parse", "HEAD"),
         "src_tree": git(path, "rev-parse", "HEAD:src"),
         "dirty": bool(git(path, "status", "--porcelain", "--", "src", "perfbench")),
