@@ -135,8 +135,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     Requires x^(p^n) = x mod f together with gcd(x^(p^d) - x, f) = 1 for
     every proper divisor d of n; the gcd checks alone would wrongly accept
     e.g. a quintic splitting into degrees 2 + 3. Each gcd is taken as soon
-    as x^(p^d) is known, so a candidate with a linear factor fails after
-    one p-th powering.
+    as x^(p^d) is known, so a linear factor fails after one p-th powering.
     """
     n = len(f) - 1
     if n == 1:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, digit_array, field_to_json, kernel, linmap_matrix, make_field
+from .gfpn import FieldCtx, digit_array, field_to_json, kernel, linmap_matrix, make_field, rank
 from .spectrum import PFunction
 
 
@@ -188,15 +188,27 @@ def kernel_elements(ctx: FieldCtx, basis) -> frozenset:
     return frozenset(elems.tolist())
 
 
-def certificates(specs) -> list[NearBentCertificate]:
-    """Kernel dimension s of L plus a canonical generator when s = 1, for
-    every spec: one linmap_matrix stack and one elimination per field."""
-    specs = list(specs)
-    out = [None] * len(specs)
+def _field_stacks(specs: list):
+    """Per field: the positions of its specs and their linmap_matrix stack."""
     for ctx in {q.ctx for q in specs}:
         idx = [k for k, q in enumerate(specs) if q.ctx == ctx]
-        bases = kernel(linmap_matrix(ctx, linearized([specs[k] for k in idx])), ctx.p)
-        for k, vecs in zip(idx, bases):
+        yield ctx, idx, linmap_matrix(ctx, linearized([specs[k] for k in idx]))
+
+
+def kernel_dims(specs: list) -> np.ndarray:
+    """Kernel dimension s of L for every spec, from one stacked rank per field."""
+    dims = np.empty(len(specs), dtype=np.int64)
+    for ctx, idx, mats in _field_stacks(specs):
+        dims[idx] = ctx.n - rank(mats, ctx.p)
+    return dims
+
+
+def certificates(specs: list) -> list[NearBentCertificate]:
+    """Kernel dimension s of L plus a canonical generator when s = 1, for
+    every spec: one linmap_matrix stack and one elimination per field."""
+    out = [None] * len(specs)
+    for ctx, idx, mats in _field_stacks(specs):
+        for k, vecs in zip(idx, kernel(mats, ctx.p)):
             basis = tuple(ctx.encode(v) for v in vecs)
             beta = min(kernel_elements(ctx, basis) - {0}) if len(basis) == 1 else None
             out[k] = NearBentCertificate(len(basis), basis, beta)
@@ -358,7 +370,10 @@ def delta_eta_of_matrix(a: np.ndarray, p: int) -> int:
         raise DegenerateForm(
             f"rank deficit {a.shape[0] - len(diag)} > 1; discriminant undefined"
         )
-    return eta(p, prod(diag) % p)
+    prod = 1
+    for v in diag:
+        prod = (prod * v) % p
+    return eta(p, prod)
 
 
 def delta_eta(spec: QuadraticSpec) -> int:

@@ -173,12 +173,13 @@ class WalshSpectrum:
 
 
 def check_transform_size(p: int, dim: int) -> None:
-    """Reject p^dim points before any allocation: counts and sums stay in int64,
-    and the transform's peak, 5x the int64 table at p = 3 and 10x at p = 7, in 4 GB."""
+    """Reject p^dim points before any allocation: counts and sums stay in int64, and
+    the int64 table plus two (p^dim, p) pass arrays, or one beside the int64 counts
+    (12 bytes per entry in float32, 16 in float64 above 2^24 points), fit in 4 GiB."""
     if p ** (2 * dim + 1) >= 2 ** 62:
         raise ValueError(f"domain of {p}^{dim} points too large for the exact int64 transform")
-    if p ** dim > 2 ** 26:
-        raise ValueError(f"domain of {p}^{dim} points exceeds the 2^26-point transform limit")
+    if p ** dim * (p * (12 if p ** dim <= 2 ** 24 else 16) + 8) > 2 ** 32:
+        raise ValueError(f"domain of {p}^{dim} points needs more than the 4 GiB transform limit")
 
 
 def walsh_full(f: PFunction) -> WalshSpectrum:

@@ -34,7 +34,7 @@ from .quadratic import (
     certificates,
     circulant_delta,
     delta_eta,
-    linearized,
+    kernel_dims,
 )
 from .spectrum import (
     PFunction,
@@ -204,7 +204,7 @@ def _criterion_4() -> tuple[bool, dict]:
 def _criterion_5() -> tuple[bool, dict]:
     cases = [(p, n, r, t, variant) for p, nmax in ((3, 8), (5, 5)) for n in range(2, nmax + 1)
              for r in range(2, n) for t in range(1, r) for variant in ("minus", "plus")]
-    certs = certificates(binomial_spec(make_field(p, n), r, t, v) for p, n, r, t, v in cases)
+    certs = certificates([binomial_spec(make_field(p, n), r, t, v) for p, n, r, t, v in cases])
     disagreements = []
     for (p, n, r, t, variant), cert in zip(cases, certs):
         predicted = binomial_near_bent(p, n, r, t, variant)
@@ -283,39 +283,26 @@ def _criterion_8() -> tuple[bool, dict]:
     return not disagreements, {"specs_checked": checked, "disagreements": disagreements}
 
 
-# Candidates drawn per round of the discriminant-scaling check; about 8% of
-# draws are near-bent, so one round nearly always yields the 100 it needs.
+# Draws per round of the scaling check; about 8% are near-bent, so one round suffices.
 _SCALING_CHUNK = 1500
 
 
-def _scaling_chunk(rng: random.Random) -> tuple[list, np.ndarray]:
-    """_SCALING_CHUNK random quadratics on F_{3^4}, F_{3^5} and F_{5^3} with
-    one or two terms of nonzero coefficient, and their kernel dimensions s
-    from one stacked rank per field."""
-    fields = [make_field(3, 4), make_field(3, 5), make_field(5, 3)]
-    chunk = []
-    for _ in range(_SCALING_CHUNK):
-        ctx = rng.choice(fields)
-        terms = tuple(
-            (rng.randrange(1, ctx.size), rng.randrange(ctx.n))
-            for _ in range(rng.choice((1, 2)))
-        )
-        chunk.append(QuadraticSpec(ctx, terms))
-    dims = np.empty(len(chunk), dtype=np.int64)
-    for ctx in {q.ctx for q in chunk}:
-        idx = [k for k, q in enumerate(chunk) if q.ctx == ctx]
-        dims[idx] = ctx.n - rank(linmap_matrix(ctx, linearized([chunk[k] for k in idx])), ctx.p)
-    return chunk, dims
-
-
 def _scaling_pairs(rng: random.Random) -> list:
-    """100 (near-bent spec, scalar c) pairs for the discriminant scaling law.
-    Each chunk is ranked as a whole; its near-bent draws are taken in order
-    and each then draws its c in F_p^*."""
+    """100 (near-bent spec, scalar c) pairs for the discriminant scaling law. Each
+    round ranks _SCALING_CHUNK draws (one or two nonzero terms on F_{3^4}, F_{3^5}
+    or F_{5^3}) as one stack per field; its near-bent draws then draw c in order."""
+    fields = [make_field(3, 4), make_field(3, 5), make_field(5, 3)]
     pairs = []
     while len(pairs) < 100:
-        chunk, dims = _scaling_chunk(rng)
-        near_bent = [q for q, s in zip(chunk, dims) if s == 1]
+        chunk = []
+        for _ in range(_SCALING_CHUNK):
+            ctx = rng.choice(fields)
+            terms = tuple(
+                (rng.randrange(1, ctx.size), rng.randrange(ctx.n))
+                for _ in range(rng.choice((1, 2)))
+            )
+            chunk.append(QuadraticSpec(ctx, terms))
+        near_bent = [q for q, s in zip(chunk, kernel_dims(chunk)) if s == 1]
         pairs += [(q, rng.randrange(1, q.ctx.p)) for q in near_bent[: 100 - len(pairs)]]
     return pairs
 

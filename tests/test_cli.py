@@ -208,8 +208,8 @@ def test_oversized_glued_spec_exits_2_before_building(tmp_path, capsys, monkeypa
     assert rc == 2 and "'p'" in err
 
 
-def test_transform_beyond_2_26_points_exits_2_before_building(tmp_path, capsys, monkeypatch):
-    # 3^17 passes the int64 bound but its transform would need about 5 GB
+def test_transform_beyond_4_gib_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # 3^17 passes the int64 bound but its transform would need about 7 GiB
     from pbent.quadratic import QuadraticSpec
 
     def no_build(*_args, **_kwargs):
@@ -220,7 +220,7 @@ def test_transform_beyond_2_26_points_exits_2_before_building(tmp_path, capsys, 
     quad.write_text(json.dumps({"p": 3, "n": 17, "quad_terms": [{"a_index": 1, "i": 1}]}))
     rc, out, err = run(capsys, ["analyze", str(quad)])
     assert (rc, out) == (2, "")
-    assert err == "error: domain of 3^17 points exceeds the 2^26-point transform limit\n"
+    assert err == "error: domain of 3^17 points needs more than the 4 GiB transform limit\n"
 
 
 def test_oversized_confirmed_scan_exits_2_before_building(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from pbent.quadratic import (
     delta_eta,
     delta_eta_of_matrix,
     diagonalize,
+    kernel_dims,
     kernel_elements,
     linearized,
     monomial_bent_criterion,
@@ -131,6 +132,7 @@ def test_stacked_certificates_match_per_spec_oracle():
     rng.shuffle(specs)
     certs = certificates(specs)
     assert len(certs) == len(specs)
+    assert kernel_dims(specs).tolist() == [c.s for c in certs]
     assert {c.s for c in certs} >= {0, 1, 2}
     for q, cert in zip(specs, certs):
         assert linearized(q).tolist() == linearized_per_element(q)

@@ -162,10 +162,11 @@ def test_size_guard_fires_before_any_allocation():
     # raise AttributeError instead
     with pytest.raises(ValueError, match="too large"):
         walsh_full(SimpleNamespace(p=3, dim=20))
-    # the largest domains under 2^26 points pass; the next ones do not
-    for p, dim in ((3, 16), (5, 11), (7, 9)):
+    # the largest domains whose transform fits in 4 GiB pass; the next ones,
+    # from 7^9 (about 4.5 GiB) to 13^7 (about 13 GiB), do not
+    for p, dim in ((3, 16), (5, 10), (7, 8), (11, 7), (13, 6)):
         check_transform_size(p, dim)
-        with pytest.raises(ValueError, match=r"2\^26-point transform limit"):
+        with pytest.raises(ValueError, match="4 GiB transform limit"):
             walsh_full(SimpleNamespace(p=p, dim=dim + 1))
 
 

@@ -61,15 +61,21 @@ def test_scaling_law_draws_keep_their_coverage(monkeypatch):
     # rng state that loop still draws its frozen 100 pairs and the law holds
     # on them, and the chunk's stacked kernel dimensions agree with one
     # certificate per spec up to the 100th near-bent draw
-    states, checked = [], []
+    states, checked, ranked = [], [], []
 
     def recording(rng):
         states.append(rng.getstate())
         checked.extend(real(rng))
         return checked
 
-    real = verify._scaling_pairs
+    def ranking(chunk):
+        dims = real_dims(chunk)
+        ranked.extend(zip(chunk, dims))
+        return dims
+
+    real, real_dims = verify._scaling_pairs, verify.kernel_dims
     monkeypatch.setattr(verify, "_scaling_pairs", recording)
+    monkeypatch.setattr(verify, "kernel_dims", ranking)
     passed, details = verify._criterion_9()
     assert passed and details["scaling_specs"] == len(checked) == 100
 
@@ -81,9 +87,9 @@ def test_scaling_law_draws_keep_their_coverage(monkeypatch):
     for q, c in old:
         assert delta_eta(q.scale(c)) == eta(q.ctx.p, c) ** (q.ctx.n - 1) * delta_eta(q)
 
-    rng.setstate(states[0])
+    assert len(ranked) % verify._SCALING_CHUNK == 0
     near_bent = []
-    for q, s in zip(*verify._scaling_chunk(rng)):
+    for q, s in ranked:
         assert s == certificate_per_spec(q).s
         if s == 1:
             near_bent.append(q)

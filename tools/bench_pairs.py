@@ -1,12 +1,12 @@
 """Alternating parent/change pairs of the pbent benchmark, written to one file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --tag NAME \
-        [--pairs 10] [--seconds 40] [--seed-base 901] [--workload paper ...]
+        [--pairs 10] [--seconds 40] [--seed-base 901]
 
-DIR is a checkout of the repository. For every workload and pair k, both
-checkouts run ``perfbench/run.py --trace 0`` with seed seed-base + k; even
-pairs run the parent first, odd pairs the change first, so a drift of the
-host's speed weighs on both sides. The file BENCH_<NAME>.json in the current
+DIR is a checkout of the repository. For every workload in BENCHMARK.json
+and pair k, both checkouts run ``perfbench/run.py --trace 0`` with seed
+seed-base + k; even pairs run the parent first, odd pairs the change first,
+so a drift of the host's speed weighs on both sides. The file BENCH_<NAME>.json in the current
 directory gets the result line of every run, the seeds, the machine, both
 commits and, per workload and end-to-end metric, each side's median and
 quartiles, the pairs the change won (ties count for neither side) and
@@ -111,12 +111,10 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--seed-base", type=int, default=901)
-    ap.add_argument("--workload", action="append", dest="workloads")
     args = ap.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     record = {
         "tag": args.tag,
         "command": "perfbench/run.py --trace 0",
@@ -127,7 +125,7 @@ def main() -> int:
         "workloads": {},
     }
     path = f"BENCH_{args.tag}.json"
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         entry = record["workloads"][workload] = {"pairs": [], "summary": {}}
         for k in range(args.pairs):
             seed = args.seed_base + k
