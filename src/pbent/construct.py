@@ -22,7 +22,7 @@ from .quadratic import (
     binomial_spec,
     certificate,
     certificates,
-    delta_eta,
+    delta_etas,
 )
 from .spectrum import PFunction, analyze, walsh_full
 
@@ -242,7 +242,7 @@ def build_example(eid: int) -> GluedSpec:
 
 def predict_regularity(spec: GluedSpec) -> str:
     """WeaklyRegular iff all component discriminant classes agree."""
-    etas = [delta_eta(g) for g in spec.realized]
+    etas = delta_etas(list(spec.realized))
     return "WeaklyRegular" if len(set(etas)) == 1 else "NonWeaklyRegular"
 
 

@@ -346,15 +346,18 @@ def _matrix_powers(mat: np.ndarray, p: int) -> np.ndarray:
 # linear algebra over F_p (matrices are int64 numpy arrays with entries mod p)
 
 
-def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce every matrix of an (N, rows, cols) stack in place; returns it
-    and the (N, cols) mask of pivot columns. Per column, each matrix takes its
-    first nonzero row at or below its next pivot row, swaps it up, scales it
-    to 1 and clears the column in every other row.
+def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce every matrix of an (N, rows, cols) stack in place; returns it,
+    the (N, cols) mask of pivot columns and the (N,) determinants of square
+    matrices (0 when singular). Per column, each matrix takes its first
+    nonzero row at or below its next pivot row, swaps it up, scales it to 1
+    and clears the column in every other row; the determinant is the product
+    of the pivot values, negated once per swap.
     """
     count, rows, cols = m.shape
     next_row = np.zeros(count, dtype=np.int64)
     pivots = np.zeros((count, cols), dtype=bool)
+    det = np.ones(count, dtype=np.int64)
     for c in range(cols):
         cand = (m[:, :, c] != 0) & (np.arange(rows) >= next_row[:, None])
         sel = np.nonzero(cand.any(axis=1))[0]
@@ -363,6 +366,7 @@ def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         r, k = next_row[sel], cand[sel].argmax(axis=1)
         top = m[sel, k]
         m[sel, k] = m[sel, r]
+        det[sel] = det[sel] * top[:, c] % p * np.where(k > r, -1, 1) % p
         inv, base, e = np.ones(sel.size, dtype=np.int64), top[:, c], p - 2
         while e:  # inv = base^(p-2), the inverse mod p, one squaring per bit
             inv, base, e = (inv * base % p if e & 1 else inv), base * base % p, e >> 1
@@ -373,13 +377,14 @@ def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         m[sel] = (m[sel] - factor[:, :, None] * top[:, None, :]) % p
         pivots[sel, c] = True
         next_row[sel] += 1
-    return m, pivots
+    det[next_row < rows] = 0
+    return m, pivots, det
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the list of pivot columns of one matrix:
     the N = 1 case of the stack elimination that rank runs on whole stacks."""
-    m, pivots = _rref_stack(np.array(mat, dtype=np.int64)[None] % p, p)
+    m, pivots, _ = _rref_stack(np.array(mat, dtype=np.int64)[None] % p, p)
     return m[0], np.nonzero(pivots[0])[0].tolist()
 
 
@@ -400,7 +405,7 @@ def kernel(mat: np.ndarray, p: int) -> list:
     the free position.
     """
     m = np.array(mat, dtype=np.int64) % p
-    stack, pivots = _rref_stack(m.reshape((-1,) + m.shape[-2:]), p)
+    stack, pivots, _ = _rref_stack(m.reshape((-1,) + m.shape[-2:]), p)
     bases = []
     for red, piv in zip(stack, pivots):
         cols, free = np.flatnonzero(piv), np.flatnonzero(~piv)

@@ -1,12 +1,13 @@
 """Quadratic functions f(x) = Tr(sum_i a_i x^(p^i + 1)) + Tr(bx) + const.
 
-The bilinearization f(y+z) - f(y) - f(z) factors through a linearized
-polynomial L; the dimension s of its kernel controls the whole spectrum:
-s = 0 means bent, s = 1 means near-bent with support size p^(n-1). This
-module builds L, certifies kernels, decides the closed-form monomial and
-binomial criteria, and computes the discriminant class eta(Delta) of the
-underlying quadratic form, which fixes the sign of every nonzero
-coefficient.
+On digit vectors the quadratic part is x^T A x for a symmetric form matrix A
+over F_p. The dimension s of its kernel, the kernel of the polarization
+f(y+z) - f(y) - f(z), controls the whole spectrum: s = 0 means bent, s = 1
+means near-bent with support size p^(n-1). This module builds A for many
+specs at once, and from eliminations of that one stack certifies kernels and
+computes the discriminant class eta(Delta), which fixes the sign of every
+nonzero coefficient. It also decides the closed-form monomial and binomial
+criteria.
 """
 
 from __future__ import annotations
@@ -18,20 +19,16 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, digit_array, field_to_json, kernel, linmap_matrix, make_field, rank
+from .gfpn import FieldCtx, _rref_stack, field_to_json, kernel, linmap_matrix, make_field, rank
 from .spectrum import PFunction
 
 
 class EmptyQuadraticPart(ValueError):
-    """No quadratic terms; the linearized kernel is undefined."""
+    """No quadratic terms; the polarization kernel is undefined."""
 
 
 class DegenerateExponents(ValueError):
     """Binomial exponents coincide mod n, collapsing to a monomial."""
-
-
-class NotSymmetric(ValueError):
-    """diagonalize needs a symmetric matrix."""
 
 
 class DegenerateForm(ValueError):
@@ -72,13 +69,13 @@ class QuadraticSpec:
     # -- transforms -----------------------------------------------------------
 
     def scale(self, c: int) -> "QuadraticSpec":
-        """The function c * f for a prime-subfield scalar c."""
+        """The function c * f for a prime-subfield scalar c, which multiplies
+        every digit of every coefficient."""
         ctx = self.ctx
-        cc = ctx.element_from_int(c)
         return QuadraticSpec(
             ctx,
-            tuple((ctx.mul(cc, a), i) for a, i in self.quad_terms),
-            ctx.mul(cc, self.linear),
+            tuple((ctx._index(c * ctx.vector(a)), i) for a, i in self.quad_terms),
+            ctx._index(c * ctx.vector(self.linear)),
             (c * self.constant) % ctx.p,
         )
 
@@ -118,33 +115,45 @@ class QuadraticSpec:
         return cls(ctx, terms, int(obj.get("linear_index", 0)), int(obj.get("constant", 0)))
 
 
-def _bilinear_matrix(spec: QuadraticSpec) -> np.ndarray:
-    """B over F_p with x^T B x = Tr(sum_i a_i x^(p^i) x) on digit coordinates.
+def form_matrices(ctx: FieldCtx, rows) -> np.ndarray:
+    """Symmetric A over F_p with x^T A x = Tr(sum_i rows[i] x^(p^i + 1)) on
+    digit vectors x, for each (n,) row of element indices (position i the
+    coefficient of x^(p^i + 1)) of a (..., n) array.
 
-    B[j, k] = Tr(alpha_j * sum_i a_i alpha_k^(p^i)) over the power basis: the
-    trace-pairing Gram matrix times the matrix of z -> sum_i a_i z^(p^i).
+    B = gram @ linmap_matrix(rows) has B[j, k] = Tr(alpha_j sum_i a_i
+    alpha_k^(p^i)) over the power basis, and A = (B + B^T) / 2 (p is odd).
+    ker A is the kernel of the polarization, so rank(A) = n - s.
     """
-    ctx = spec.ctx
-    coeffs = [0] * ctx.n
-    for a, i in spec.quad_terms:
-        coeffs[i] = ctx.add(coeffs[i], a)
-    return ctx.gram @ linmap_matrix(ctx, coeffs) % ctx.p
+    p = ctx.p
+    b = ctx.gram @ linmap_matrix(ctx, rows) % p
+    return (b + np.swapaxes(b, -1, -2)) * ((p + 1) // 2) % p
+
+
+def _coefficient_rows(specs: list) -> np.ndarray:
+    """(K, n) element indices for K specs over one field: position i of row k
+    is the digit-wise sum of the coefficients a of the terms (a, i) of spec k."""
+    ctx = specs[0].ctx
+    terms = [(k, a, i) for k, q in enumerate(specs) for a, i in q.quad_terms]
+    k, a, i = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    acc = np.zeros((len(specs), ctx.n, ctx.n), dtype=np.int64)
+    np.add.at(acc, (k, i), a[:, None] // ctx.index_weights % ctx.p)
+    return acc % ctx.p @ ctx.index_weights
 
 
 def _values(spec: QuadraticSpec, d: np.ndarray) -> np.ndarray:
     """f at the elements with coefficient vectors d (the last axis):
-    d.B.d + d.(gram.d(linear)) + constant, with B = _bilinear_matrix(spec).
-    Each product sums n terms below p^2 before it is reduced."""
+    d.A.d + d.(gram.d(linear)) + constant, A the form matrix of spec. Each
+    product sums n terms below p^2 before it is reduced."""
     ctx = spec.ctx
     p = ctx.p
     lin = ctx.gram @ ctx.vector(spec.linear) % p
-    form = (d @ _bilinear_matrix(spec) + lin) % p
+    form = (d @ form_matrices(ctx, _coefficient_rows([spec]))[0] + lin) % p
     return ((d * form).sum(axis=-1) + spec.constant) % p
 
 
 @dataclass(frozen=True)
 class NearBentCertificate:
-    """Kernel data of the bilinearization: s = dim, basis as element indices,
+    """Kernel data of the quadratic form: s = dim, basis as element indices,
     and the canonical generator beta (smallest nonzero kernel index, only
     set when s = 1)."""
 
@@ -153,71 +162,83 @@ class NearBentCertificate:
     beta: int | None
 
 
-def linearized(specs) -> np.ndarray:
-    """Coefficients (by Frobenius power) of L with
-    f(y+z) - f(y) - f(z) = Tr(y^(p^l) L(z)), l the largest stored exponent:
-    an (n,) row of element indices for one spec, a (K, n) array for K specs
-    over one field. On the digits d(a) of a, a term (a, i) adds F^l d(a) at
-    position l + i and F^(l-i) d(a) at l - i (mod n), F the Frobenius matrix.
-    """
-    batch = [specs] if isinstance(specs, QuadraticSpec) else list(specs)
-    ctx = batch[0].ctx
-    levels = [polarization_level(q) for q in batch]
-    terms = [(k, a, i, levels[k]) for k, q in enumerate(batch) for a, i in q.quad_terms]
-    k, a, i, l = np.array(terms, dtype=np.int64).reshape(-1, 4).T
-    digits = np.tile(a[:, None] // ctx.index_weights % ctx.p, (2, 1))
-    frob = ctx._frob_powers[np.concatenate([l, l - i])]
-    images = np.einsum("tab,tb->ta", frob, digits) % ctx.p
-    acc = np.zeros((len(batch), ctx.n, ctx.n), dtype=np.int64)
-    np.add.at(acc, (np.tile(k, 2), np.concatenate([l + i, l - i]) % ctx.n), images)
-    rows = acc % ctx.p @ ctx.index_weights
-    return rows[0] if isinstance(specs, QuadraticSpec) else rows
-
-
-def polarization_level(spec: QuadraticSpec) -> int:
-    """The exponent l in the pairing Tr(y^(p^l) L(z))."""
-    if not spec.quad_terms:
-        raise EmptyQuadraticPart("no quadratic terms")
-    return max(i for _, i in spec.quad_terms)
-
-
-def kernel_elements(ctx: FieldCtx, basis) -> frozenset:
-    """All p^s elements spanned by kernel basis vectors (element indices)."""
-    vecs = np.array([ctx.vector(b) for b in basis], dtype=np.int64).reshape(-1, ctx.n)
-    elems = digit_array(ctx.p, len(vecs)) @ vecs % ctx.p @ ctx.index_weights
-    return frozenset(elems.tolist())
-
-
 def _field_stacks(specs: list):
-    """Per field: the positions of its specs and their linmap_matrix stack."""
+    """Per field: the positions of its specs and their form-matrix stack."""
     for ctx in {q.ctx for q in specs}:
         idx = [k for k, q in enumerate(specs) if q.ctx == ctx]
-        yield ctx, idx, linmap_matrix(ctx, linearized([specs[k] for k in idx]))
+        yield ctx, idx, form_matrices(ctx, _coefficient_rows([specs[k] for k in idx]))
+
+
+def _kernel_stacks(specs: list):
+    """_field_stacks of specs that all have a quadratic part."""
+    if not all(q.quad_terms for q in specs):
+        raise EmptyQuadraticPart("no quadratic terms")
+    return _field_stacks(specs)
 
 
 def kernel_dims(specs: list) -> np.ndarray:
-    """Kernel dimension s of L for every spec, from one stacked rank per field."""
+    """Kernel dimension s of every spec, from one stacked rank per field."""
     dims = np.empty(len(specs), dtype=np.int64)
-    for ctx, idx, mats in _field_stacks(specs):
+    for ctx, idx, mats in _kernel_stacks(specs):
         dims[idx] = ctx.n - rank(mats, ctx.p)
     return dims
 
 
 def certificates(specs: list) -> list[NearBentCertificate]:
-    """Kernel dimension s of L plus a canonical generator when s = 1, for
-    every spec: one linmap_matrix stack and one elimination per field."""
+    """Kernel dimension s plus a canonical generator when s = 1, for every
+    spec: one form-matrix stack and one elimination per field.
+
+    A basis vector has a 1 at its free column and zeros above it, so its
+    highest nonzero digit is 1. When s = 1 that makes it the smallest nonzero
+    multiple of itself, since the highest digit dominates the index: beta.
+    """
     out = [None] * len(specs)
-    for ctx, idx, mats in _field_stacks(specs):
+    for ctx, idx, mats in _kernel_stacks(specs):
         for k, vecs in zip(idx, kernel(mats, ctx.p)):
             basis = tuple(ctx.encode(v) for v in vecs)
-            beta = min(kernel_elements(ctx, basis) - {0}) if len(basis) == 1 else None
-            out[k] = NearBentCertificate(len(basis), basis, beta)
+            out[k] = NearBentCertificate(len(basis), basis, basis[0] if len(basis) == 1 else None)
     return out
 
 
 def certificate(spec: QuadraticSpec) -> NearBentCertificate:
     """The certificate of one spec."""
     return certificates([spec])[0]
+
+
+def _stack_delta_etas(mats: np.ndarray, p: int) -> list[int]:
+    """eta(Delta) of every symmetric matrix of an (N, n, n) stack over F_p,
+    which it overwrites.
+
+    Delta is the determinant of the principal minor on the pivot columns,
+    which is nonsingular because the matrix is symmetric. One elimination
+    finds the free column of each matrix (at most one); replacing it by a
+    unit row and column leaves a matrix with the determinant of that minor,
+    which a second elimination gives. The pivot rows of the first elimination
+    need not be the pivot columns, so its own pivot product is not Delta.
+    """
+    free = ~_rref_stack(mats.copy(), p)[1]
+    deficit = int(free.sum(axis=1).max(initial=0))
+    if deficit > 1:
+        raise DegenerateForm(f"rank deficit {deficit} > 1; discriminant undefined")
+    k, f = np.nonzero(free)
+    mats[k, f, :] = mats[k, :, f] = 0
+    mats[k, f, f] = 1
+    return [eta(p, int(d)) for d in _rref_stack(mats, p)[2]]
+
+
+def delta_etas(specs: list) -> list[int]:
+    """Discriminant class eta(Delta) of the quadratic part of every spec, from
+    one form-matrix stack per field."""
+    out = [0] * len(specs)
+    for ctx, idx, mats in _field_stacks(specs):
+        for k, e in zip(idx, _stack_delta_etas(mats, ctx.p)):
+            out[k] = e
+    return out
+
+
+def delta_eta(spec: QuadraticSpec) -> int:
+    """Discriminant class eta(Delta) of the quadratic part of spec."""
+    return delta_etas([spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,89 +319,6 @@ def monomial_spec(ctx: FieldCtx, r: int, c_exponent: int) -> QuadraticSpec:
     return QuadraticSpec(ctx, ((a, r),))
 
 
-# ---------------------------------------------------------------------------
-# quadratic form machinery
-
-
-def quadratic_form_matrix(spec: QuadraticSpec) -> np.ndarray:
-    """Symmetric A over F_p with x^T A x = f(x) minus linear and constant parts.
-
-    The bilinear matrix B symmetrized with the inverse of 2 (p is odd).
-    rank(A) = n - s.
-    """
-    p = spec.ctx.p
-    b = _bilinear_matrix(spec)
-    inv2 = pow(2, p - 2, p)
-    return ((b + b.T) * inv2) % p
-
-
-def diagonalize(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Congruence diagonalization: returns (C, D) with D = C^T A C diagonal.
-
-    Zero pivots are repaired by swapping in a later nonzero diagonal entry,
-    or, when the whole trailing diagonal vanishes, by folding in a row with a
-    nonzero off-diagonal partner (valid since p is odd). Deterministic:
-    always the smallest candidate index.
-    """
-    a = np.array(a, dtype=np.int64) % p
-    n = a.shape[0]
-    if not np.array_equal(a, a.T):
-        raise NotSymmetric("matrix is not symmetric")
-    orig = a.copy()
-    c = np.eye(n, dtype=np.int64)
-
-    def col_op(dst, src, factor):
-        # column dst += factor * column src, and same for rows (congruence)
-        a[:, dst] = (a[:, dst] + factor * a[:, src]) % p
-        a[dst, :] = (a[dst, :] + factor * a[src, :]) % p
-        c[:, dst] = (c[:, dst] + factor * c[:, src]) % p
-
-    def col_swap(i, j):
-        a[:, [i, j]] = a[:, [j, i]]
-        a[[i, j], :] = a[[j, i], :]
-        c[:, [i, j]] = c[:, [j, i]]
-
-    for i in range(n):
-        if a[i, i] == 0:
-            later_diag = [j for j in range(i + 1, n) if a[j, j]]
-            if later_diag:
-                col_swap(i, later_diag[0])
-            else:
-                partners = [j for j in range(i + 1, n) if a[i, j]]
-                if partners:
-                    col_op(i, partners[0], 1)
-        if a[i, i] == 0:
-            continue
-        inv = pow(int(a[i, i]), p - 2, p)
-        for j in range(i + 1, n):
-            if a[i, j]:
-                col_op(j, i, (-int(a[i, j]) * inv) % p)
-
-    d = a
-    if not np.array_equal((c.T @ orig @ c) % p, d) or np.any(d - np.diag(np.diag(d))):
-        raise RuntimeError("congruence diagonalization failed; this is a bug")
-    return c, d
-
-
-def delta_eta_of_matrix(a: np.ndarray, p: int) -> int:
-    """eta of the product of nonzero diagonal entries after diagonalization."""
-    _, d = diagonalize(a, p)
-    diag = [int(v) for v in np.diag(d) if v]
-    if a.shape[0] - len(diag) > 1:
-        raise DegenerateForm(
-            f"rank deficit {a.shape[0] - len(diag)} > 1; discriminant undefined"
-        )
-    prod = 1
-    for v in diag:
-        prod = (prod * v) % p
-    return eta(p, prod)
-
-
-def delta_eta(spec: QuadraticSpec) -> int:
-    """Discriminant class eta(Delta) of the quadratic part of spec."""
-    return delta_eta_of_matrix(quadratic_form_matrix(spec), spec.ctx.p)
-
-
 def near_bent_zeta_prediction(spec: QuadraticSpec) -> str:
     """Unimodular factor of the nonzero coefficients of a near-bent quadratic.
 
@@ -430,9 +368,6 @@ def circulant_delta(p: int, n: int, r: int, t: int) -> int:
     fld = make_field(p, m)
     # m is the order of p mod n, so n divides p^m - 1
     u = fld.pow(primitive_element(fld), (fld.size - 1) // n)
-    lam0 = fld.sub(fld.pow(u, 0), fld.pow(u, 0))
-    if lam0 != 0:
-        raise RuntimeError("zero eigenvalue check failed")
     delta = 1
     for j in range(1, n):
         term = fld.sub(fld.pow(u, ((n - r) * j) % n), fld.pow(u, ((n - t) * j) % n))

@@ -26,14 +26,15 @@ from .construct import (
     spectral_regularity,
 )
 from .cyclotomic import CycInt, eta, gauss_sum
-from .gfpn import linmap_matrix, make_field, rank
+from .gfpn import make_field, rank
 from .quadratic import (
     QuadraticSpec,
     binomial_near_bent,
     binomial_spec,
     certificates,
     circulant_delta,
-    delta_eta,
+    delta_etas,
+    form_matrices,
     kernel_dims,
 )
 from .spectrum import (
@@ -184,18 +185,12 @@ def _criterion_4() -> tuple[bool, dict]:
     for p, nmax in ((3, 6), (5, 4)):
         for n in range(1, nmax + 1):
             ctx = make_field(p, n)
-            w = ctx.index_weights
             a = np.arange(1, ctx.size)
             for r in range(n):
-                # a at position 0, plus a^(p^r) added digit-wise at 2r mod n;
-                # the digits of a^(p^r) are those of a times the matrix of z^(p^r)
-                e = (2 * r) % n
-                frob_r = linmap_matrix(ctx, np.eye(n, dtype=np.int64)[r])
-                frob = a[:, None] // w % p @ frob_r.T
+                # Tr(a x^(p^r + 1)) is the coefficient row with a at position r
                 rows = np.zeros((a.size, n), dtype=np.int64)
-                rows[:, 0] = a
-                rows[:, e] = (rows[:, e, None] // w + frob) % p @ w
-                s = n - rank(linmap_matrix(ctx, rows), p)
+                rows[:, r] = a
+                s = n - rank(form_matrices(ctx, rows), p)
                 cases += a.size
                 exceptions += [{"p": p, "n": n, "r": r, "a": int(x)} for x in a[s == 1]]
     return not exceptions, {"cases": cases, "exceptions": exceptions}
@@ -368,9 +363,10 @@ def _criterion_9() -> tuple[bool, dict]:
     # discriminant scaling law on random near-bent specs (rank n - 1)
     pairs = _scaling_pairs(rng)
     details["scaling_specs"] = len(pairs)
+    etas = delta_etas([q for q, _ in pairs] + [q.scale(c) for q, c in pairs])
     verdicts["discriminant_scaling"] = all(
-        delta_eta(q.scale(c)) == eta(q.ctx.p, c) ** (q.ctx.n - 1) * delta_eta(q)
-        for q, c in pairs
+        scaled == eta(q.ctx.p, c) ** (q.ctx.n - 1) * base
+        for (q, c), base, scaled in zip(pairs, etas, etas[len(pairs):])
     )
 
     # eigenvalue-product invariance across admissible exponent pairs
@@ -389,9 +385,8 @@ def _criterion_9() -> tuple[bool, dict]:
         # cross-route: the discriminant class computed from the power basis
         ctx = make_field(3, n)
         d = deltas.pop()
-        for r, t in pairs:
-            if delta_eta(binomial_spec(ctx, r, t, "minus")) != eta(3, d):
-                invariance_ok = False
+        if set(delta_etas([binomial_spec(ctx, r, t, "minus") for r, t in pairs])) != {eta(3, d)}:
+            invariance_ok = False
     verdicts["circulant_invariance"] = invariance_ok
 
     details["subchecks"] = verdicts

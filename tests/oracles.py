@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 
 from pbent.construct import AnfPoly, GluedSpec, _vandermonde
-from pbent.cyclotomic import CycInt, match_shape
+from pbent.cyclotomic import CycInt, eta, match_shape
 from pbent.gfpn import (
     FieldCtx,
     _pmod,
@@ -17,7 +17,7 @@ from pbent.gfpn import (
     linear_index_map,
     make_field,
 )
-from pbent.quadratic import NearBentCertificate, QuadraticSpec
+from pbent.quadratic import DegenerateForm, NearBentCertificate, QuadraticSpec
 from pbent.spectrum import (
     PFunction,
     ShapeMismatch,
@@ -394,6 +394,87 @@ def certificate_per_spec(spec) -> NearBentCertificate:
         basis.append(ctx.encode(v))
     beta = min(kernel_elements_loop(ctx, basis) - {0}) if len(basis) == 1 else None
     return NearBentCertificate(len(basis), tuple(basis), beta)
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms by polarization and congruence diagonalization
+
+
+def form_matrix_per_term(spec) -> np.ndarray:
+    """Symmetric A with x^T A x the quadratic part of spec, from polarization:
+    A[j, k] = (f(x^j + x^k) - f(x^j) - f(x^k) + f(0)) / 2, every value from
+    evaluate_per_term."""
+    ctx, p = spec.ctx, spec.ctx.p
+    f = [evaluate_per_term(spec, p ** j) for j in range(ctx.n)]
+    f0 = evaluate_per_term(spec, 0)
+    a = np.zeros((ctx.n, ctx.n), dtype=np.int64)
+    for j in range(ctx.n):
+        for k in range(ctx.n):
+            both = evaluate_per_term(spec, ctx.add(p ** j, p ** k))
+            a[j, k] = (both - f[j] - f[k] + f0) * pow(2, p - 2, p) % p
+    return a
+
+
+def diagonalize(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Congruence diagonalization: returns (C, D) with D = C^T A C diagonal.
+
+    Zero pivots are repaired by swapping in a later nonzero diagonal entry,
+    or, when the whole trailing diagonal vanishes, by folding in a row with a
+    nonzero off-diagonal partner (valid since p is odd). Deterministic:
+    always the smallest candidate index.
+    """
+    a = np.array(a, dtype=np.int64) % p
+    n = a.shape[0]
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix is not symmetric")
+    orig = a.copy()
+    c = np.eye(n, dtype=np.int64)
+
+    def col_op(dst, src, factor):
+        # column dst += factor * column src, and same for rows (congruence)
+        a[:, dst] = (a[:, dst] + factor * a[:, src]) % p
+        a[dst, :] = (a[dst, :] + factor * a[src, :]) % p
+        c[:, dst] = (c[:, dst] + factor * c[:, src]) % p
+
+    def col_swap(i, j):
+        a[:, [i, j]] = a[:, [j, i]]
+        a[[i, j], :] = a[[j, i], :]
+        c[:, [i, j]] = c[:, [j, i]]
+
+    for i in range(n):
+        if a[i, i] == 0:
+            later_diag = [j for j in range(i + 1, n) if a[j, j]]
+            if later_diag:
+                col_swap(i, later_diag[0])
+            else:
+                partners = [j for j in range(i + 1, n) if a[i, j]]
+                if partners:
+                    col_op(i, partners[0], 1)
+        if a[i, i] == 0:
+            continue
+        inv = pow(int(a[i, i]), p - 2, p)
+        for j in range(i + 1, n):
+            if a[i, j]:
+                col_op(j, i, (-int(a[i, j]) * inv) % p)
+
+    d = a
+    if not np.array_equal((c.T @ orig @ c) % p, d) or np.any(d - np.diag(np.diag(d))):
+        raise RuntimeError("congruence diagonalization failed; this is a bug")
+    return c, d
+
+
+def delta_eta_of_matrix(a: np.ndarray, p: int) -> int:
+    """eta of the product of nonzero diagonal entries after diagonalization."""
+    _, d = diagonalize(a, p)
+    diag = [int(v) for v in np.diag(d) if v]
+    if a.shape[0] - len(diag) > 1:
+        raise DegenerateForm(
+            f"rank deficit {a.shape[0] - len(diag)} > 1; discriminant undefined"
+        )
+    prod = 1
+    for v in diag:
+        prod = (prod * v) % p
+    return eta(p, prod)
 
 
 def scaling_pairs_per_draw(rng) -> list:

@@ -1,3 +1,6 @@
+import itertools
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -19,10 +22,11 @@ from pbent.gfpn import (
     rref,
     solve_trace_equation,
 )
-from pbent.gfpn import _is_irreducible
+from pbent.gfpn import _is_irreducible, _rref_stack
 
 from oracles import (
     frobenius_table,
+    kernel_elements_loop,
     linmap_matrix_per_element,
     monic_polynomials,
     mul_polynomial,
@@ -345,9 +349,7 @@ def test_linmap_kernel_of_artin_schreier_style_map():
     # z^p - z vanishes exactly on the prime subfield
     ctx = make_field(3, 3)
     mat = linmap_matrix(ctx, [ctx.element_from_int(-1), 1])
-    from pbent.quadratic import kernel_elements
-
-    elems = kernel_elements(ctx, tuple(ctx.encode(v) for v in kernel(mat, 3)))
+    elems = kernel_elements_loop(ctx, tuple(ctx.encode(v) for v in kernel(mat, 3)))
     assert elems == frozenset({0, 1, 2})
 
 
@@ -427,3 +429,24 @@ def test_stacked_elimination_matches_per_row_oracle(p):
     # a (2, 3, rows, cols) stack gives a (2, 3) array of ranks
     stack = rng.integers(0, p, size=(6, 4, 4))
     assert np.array_equal(rank(stack.reshape(2, 3, 4, 4), p), rank(stack, p).reshape(2, 3))
+
+
+def _det_by_permutations(mat: np.ndarray, p: int) -> int:
+    """Leibniz expansion: the sum over permutations of signed diagonal products."""
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * prod(int(mat[i, j]) for i, j in enumerate(perm))
+    return total % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_stacked_determinant_matches_leibniz_expansion(p):
+    # sparse stacks need row swaps and hit singular matrices
+    rng = np.random.default_rng(100 + p)
+    for n in range(1, 6):
+        stack = rng.integers(0, p, size=(60, n, n)) * (rng.random((60, n, n)) < 0.5)
+        _, _, det = _rref_stack(stack.copy(), p)
+        want = [_det_by_permutations(m, p) for m in stack]
+        assert det.tolist() == want
+        assert 0 in want and len(set(want)) > 2

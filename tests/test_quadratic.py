@@ -5,37 +5,37 @@ import numpy as np
 import pytest
 
 from pbent.cyclotomic import eta
-from pbent.gfpn import kernel, linmap_matrix, make_field, rank
+from pbent.gfpn import make_field, rank
 from pbent.quadratic import (
     DegenerateExponents,
     DegenerateForm,
     EmptyQuadraticPart,
-    NotSymmetric,
     QuadraticSpec,
     RootOfUnityNotFound,
+    _coefficient_rows,
+    _stack_delta_etas,
     binomial_near_bent,
     binomial_spec,
     certificate,
     certificates,
     circulant_delta,
     delta_eta,
-    delta_eta_of_matrix,
-    diagonalize,
+    delta_etas,
+    form_matrices,
     kernel_dims,
-    kernel_elements,
-    linearized,
     monomial_bent_criterion,
     monomial_spec,
     near_bent_zeta_prediction,
-    polarization_level,
     primitive_element,
-    quadratic_form_matrix,
 )
 from pbent.spectrum import analyze, walsh_full
 
 from oracles import (
     certificate_per_spec,
+    delta_eta_of_matrix,
+    diagonalize,
     evaluate_per_term,
+    form_matrix_per_term,
     kernel_elements_loop,
     linearized_per_element,
 )
@@ -84,9 +84,16 @@ def test_evaluation_and_kernel_span_match_per_term_oracles(p, n):
         expected = [evaluate_per_term(q, x) for x in range(ctx.size)]
         assert q.to_table().table.tolist() == expected
         assert [q.evaluate(x) for x in range(ctx.size)] == expected
-    for s in range(n + 1):
-        basis = tuple(rng.randrange(ctx.size) for _ in range(s))
-        assert kernel_elements(ctx, basis) == kernel_elements_loop(ctx, basis)
+        if not terms:
+            continue
+        # the kernel spans every z with f(y + z) - f(y) - f(z) + f(0) = 0 for
+        # all y; the polarization is bilinear, so the basis y = x^j suffice
+        f = np.array(expected)
+        z, digits = np.arange(ctx.size), ctx.digits
+        polar = [f[np.where(digits[:, j] < p - 1, z + p ** j, z - (p - 1) * p ** j)]
+                 - f[p ** j] - f + f[0] for j in range(n)]
+        brute = frozenset(np.flatnonzero(np.all(np.array(polar) % p == 0, axis=0)).tolist())
+        assert kernel_elements_loop(ctx, certificate(q).kernel_basis) == brute
 
 
 def test_scale_and_with_linear():
@@ -102,15 +109,18 @@ def test_scale_and_with_linear():
 
 
 def test_linearized_monomial_structure():
-    # Tr(a x^(p^r + 1)) polarizes through a z + a^(p^r) z^(p^(2r))
+    # Tr(a x^(p^r + 1)) polarizes through a z + a^(p^r) z^(p^(2r)) in the
+    # oracle the certificates are checked against
     ctx = make_field(3, 3)
     a = 10
     q = QuadraticSpec(ctx, ((a, 1),))
-    coeffs = linearized(q)
-    assert polarization_level(q) == 1
-    assert coeffs.tolist() == [a, 0, ctx.frobenius(a, 1)]
+    assert linearized_per_element(q) == [a, 0, ctx.frobenius(a, 1)]
+    # with no quadratic terms there is no kernel to certify
+    empty = QuadraticSpec(ctx, (), linear=1)
     with pytest.raises(EmptyQuadraticPart):
-        linearized(QuadraticSpec(ctx, (), linear=1))
+        certificates([q, empty])
+    with pytest.raises(EmptyQuadraticPart):
+        kernel_dims([empty])
 
 
 def test_stacked_certificates_match_per_spec_oracle():
@@ -135,12 +145,14 @@ def test_stacked_certificates_match_per_spec_oracle():
     assert kernel_dims(specs).tolist() == [c.s for c in certs]
     assert {c.s for c in certs} >= {0, 1, 2}
     for q, cert in zip(specs, certs):
-        assert linearized(q).tolist() == linearized_per_element(q)
         assert cert == certificate_per_spec(q) == certificate(q), q
-    for ctx in {q.ctx for q in specs}:
-        group = [q for q in specs if q.ctx == ctx]
-        assert linearized(group).tolist() == [linearized_per_element(q) for q in group]
     assert certificates([]) == []
+    # the discriminant of every form with s <= 1, against congruence
+    # diagonalization of its matrix from polarized values
+    low = [q for q, cert in zip(specs, certs) if cert.s <= 1]
+    want = [delta_eta_of_matrix(form_matrix_per_term(q), q.ctx.p) for q in low]
+    assert delta_etas(low) == want
+    assert set(want) == {-1, 1}
 
 
 def test_kernel_at_the_largest_characteristic_is_fast():
@@ -151,15 +163,15 @@ def test_kernel_at_the_largest_characteristic_is_fast():
     p = ctx.p
     assert ctx.modulus == (2, 0, 1)
     start = time.perf_counter()
-    one = kernel(linmap_matrix(ctx, linearized(QuadraticSpec(ctx, ((1, 1),)))), p)
-    x = kernel(linmap_matrix(ctx, linearized(QuadraticSpec(ctx, ((p, 1),)))), p)
+    one, x = certificates([QuadraticSpec(ctx, ((1, 1),)), QuadraticSpec(ctx, ((p, 1),))])
     assert time.perf_counter() - start < 0.5
-    assert one == []
-    assert [v.tolist() for v in x] == [[1, 0], [0, 1]]
+    assert one.kernel_basis == ()
+    assert x.kernel_basis == (1, p)
 
 
 def test_polarization_identity():
-    """f(y+z) - f(y) - f(z) + const = Tr(y^(p^l) L(z)) for every y, z."""
+    """f(y+z) - f(y) - f(z) + const = Tr(y^(p^l) L(z)) for every y, z, with
+    L from the oracle that certificate_per_spec eliminates."""
     ctx = make_field(3, 4)
     rng = random.Random(47)
     for _ in range(5):
@@ -170,8 +182,8 @@ def test_polarization_identity():
             ),
             linear=rng.randrange(ctx.size),
         )
-        coeffs = linearized(q)
-        l = polarization_level(q)
+        coeffs = linearized_per_element(q)
+        l = max(i for _, i in q.quad_terms)
         for _ in range(20):
             y, z = rng.randrange(ctx.size), rng.randrange(ctx.size)
             lhs = (q.evaluate(ctx.add(y, z)) - q.evaluate(y) - q.evaluate(z)) % 3
@@ -188,7 +200,7 @@ def test_minus_variant_kernel_is_prime_subfield():
     ctx = make_field(3, 5)
     cert = certificate(binomial_spec(ctx, 2, 1, "minus"))
     assert cert.s == 1
-    assert kernel_elements(ctx, cert.kernel_basis) == frozenset({0, 1, 2})
+    assert kernel_elements_loop(ctx, cert.kernel_basis) == frozenset({0, 1, 2})
     assert cert.beta == 1
 
 
@@ -198,7 +210,7 @@ def test_plus_variant_kernel_is_z_cubed_plus_z_roots():
     assert cert.s == 1
     beta = cert.beta
     assert ctx.mul(beta, beta) == ctx.element_from_int(-1)
-    elems = kernel_elements(ctx, cert.kernel_basis)
+    elems = kernel_elements_loop(ctx, cert.kernel_basis)
     assert elems == frozenset({0, beta, ctx.neg(beta)})
 
 
@@ -272,8 +284,9 @@ def test_quadratic_form_matrix_reproduces_values():
                 (rng.randrange(1, ctx.size), rng.randrange(ctx.n)) for _ in range(2)
             ),
         )
-        a = quadratic_form_matrix(q)
+        a = form_matrices(ctx, _coefficient_rows([q]))[0]
         assert np.array_equal(a, a.T)
+        assert np.array_equal(a, form_matrix_per_term(q))
         for x in range(ctx.size):
             v = np.array(ctx.decode(x), dtype=np.int64)
             assert int(v @ a @ v) % 3 == q.evaluate(x)
@@ -287,7 +300,7 @@ def test_form_rank_is_n_minus_s():
         QuadraticSpec(ctx, ((1, 1),)),
     ):
         s = certificate(spec).s
-        assert rank(quadratic_form_matrix(spec), 3) == ctx.n - s
+        assert rank(form_matrix_per_term(spec), 3) == ctx.n - s
 
 
 def test_diagonalize_random_symmetric():
@@ -302,13 +315,63 @@ def test_diagonalize_random_symmetric():
             assert not np.any(d - np.diag(np.diag(d)))
             assert rank(c, p) == n  # congruence, not just any factorization
             assert rank(d, p) == rank(a, p)
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ValueError):
         diagonalize(np.array([[0, 1], [2, 0]]), 3)
+
+
+def _symmetric_stack(rng, p: int, n: int, count: int) -> np.ndarray:
+    """count symmetric n x n matrices over F_p, about half of rank n - 1:
+    P^T D P for random invertible P and D diagonal with at most one zero."""
+    out = []
+    while len(out) < count:
+        d = np.diag(rng.integers(1, p, size=n))
+        if rng.random() < 0.5:
+            d[rng.integers(n)] = 0
+        pm = rng.integers(p, size=(n, n))
+        if rank(pm, p) == n:
+            out.append(pm.T @ d @ pm % p)
+    return np.array(out, dtype=np.int64)
+
+
+def test_stacked_discriminant_matches_congruence_oracle():
+    rng = np.random.default_rng(71)
+    singular = 0
+    for p in (3, 5, 7, 11):
+        for n in range(1, 8):
+            mats = _symmetric_stack(rng, p, n, 40)
+            want = [delta_eta_of_matrix(a, p) for a in mats]
+            assert _stack_delta_etas(mats.copy(), p) == want, (p, n)
+            singular += int(np.sum(rank(mats, p) == n - 1))
+    assert singular > 400
+
+
+def test_delta_etas_keep_input_order_across_fields():
+    fields = [make_field(3, 5), make_field(5, 3), make_field(3, 4), make_field(7, 2)]
+    rng = random.Random(73)
+    specs = []
+    while len(specs) < 60:
+        ctx = rng.choice(fields)
+        q = QuadraticSpec(ctx, ((rng.randrange(1, ctx.size), rng.randrange(ctx.n)),
+                                (rng.randrange(1, ctx.size), rng.randrange(ctx.n))))
+        if certificate(q).s <= 1:
+            specs.append(q)
+    got = delta_etas(specs)
+    assert got == [delta_eta(q) for q in specs]
+    assert got == [delta_eta_of_matrix(form_matrix_per_term(q), q.ctx.p) for q in specs]
+    assert delta_etas([]) == []
 
 
 def test_delta_eta_rejects_deep_degeneracy():
     with pytest.raises(DegenerateForm):
         delta_eta_of_matrix(np.zeros((3, 3), dtype=np.int64), 3)
+    # Tr(x^2) - Tr(x^(p^2 + 1)) on F_{3^4} has a kernel of dimension 2
+    ctx = make_field(3, 4)
+    q = QuadraticSpec(ctx, ((1, 0), (2, 2)))
+    assert certificate(q).s == 2
+    with pytest.raises(DegenerateForm):
+        delta_eta(q)
+    with pytest.raises(DegenerateForm):
+        delta_etas([binomial_spec(ctx, 2, 1, "plus"), q])
 
 
 def test_delta_eta_is_congruence_invariant():
