@@ -348,36 +348,43 @@ def _matrix_powers(mat: np.ndarray, p: int) -> np.ndarray:
 
 def _rref_stack(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduce every matrix of an (N, rows, cols) stack in place; returns it,
-    the (N, cols) mask of pivot columns and the (N,) determinants of square
-    matrices (0 when singular). Per column, each matrix takes its first
-    nonzero row at or below its next pivot row, swaps it up, scales it to 1
-    and clears the column in every other row; the determinant is the product
-    of the pivot values, negated once per swap.
+    the (N, cols) mask of pivot columns and the (N,) determinants of the
+    submatrices on the pivot rows and pivot columns.
+
+    Per column, each matrix takes as pivot row the first row, in input order,
+    that is not yet a pivot row and has a nonzero entry; it scales that row
+    to 1 and clears the column in every other row. At the end the pivot rows
+    move to the top in column order. Until it is taken, a row is reduced only
+    by pivot rows above it, so the pivot rows are the rows independent of
+    the rows above them: for a symmetric matrix, its pivot columns. The
+    determinant is the product of the pivot values, negated for every earlier
+    pivot row below the new one; for a square matrix of full rank it is the
+    determinant of the matrix.
     """
     count, rows, cols = m.shape
-    next_row = np.zeros(count, dtype=np.int64)
+    position = np.full((count, rows), rows)  # pivot rows: their place in column order
     pivots = np.zeros((count, cols), dtype=bool)
     det = np.ones(count, dtype=np.int64)
     for c in range(cols):
-        cand = (m[:, :, c] != 0) & (np.arange(rows) >= next_row[:, None])
+        cand = (m[:, :, c] != 0) & (position == rows)
         sel = np.nonzero(cand.any(axis=1))[0]
         if sel.size == 0:
             continue
-        r, k = next_row[sel], cand[sel].argmax(axis=1)
+        k = cand[sel].argmax(axis=1)
         top = m[sel, k]
-        m[sel, k] = m[sel, r]
-        det[sel] = det[sel] * top[:, c] % p * np.where(k > r, -1, 1) % p
+        below = ((position[sel] < rows) & (np.arange(rows) > k[:, None])).sum(axis=1)
+        det[sel] = det[sel] * top[:, c] % p * np.where(below % 2, -1, 1) % p
         inv, base, e = np.ones(sel.size, dtype=np.int64), top[:, c], p - 2
         while e:  # inv = base^(p-2), the inverse mod p, one squaring per bit
             inv, base, e = (inv * base % p if e & 1 else inv), base * base % p, e >> 1
         top = top * inv[:, None] % p
-        m[sel, r] = top
+        m[sel, k] = top
         factor = m[sel, :, c]
-        factor[np.arange(sel.size), r] = 0
+        factor[np.arange(sel.size), k] = 0
         m[sel] = (m[sel] - factor[:, :, None] * top[:, None, :]) % p
+        position[sel, k] = pivots[sel].sum(axis=1)
         pivots[sel, c] = True
-        next_row[sel] += 1
-    det[next_row < rows] = 0
+    m[:] = np.take_along_axis(m, np.argsort(position, axis=1, kind="stable")[:, :, None], axis=1)
     return m, pivots, det
 
 

@@ -207,23 +207,14 @@ def certificate(spec: QuadraticSpec) -> NearBentCertificate:
 
 def _stack_delta_etas(mats: np.ndarray, p: int) -> list[int]:
     """eta(Delta) of every symmetric matrix of an (N, n, n) stack over F_p,
-    which it overwrites.
-
-    Delta is the determinant of the principal minor on the pivot columns,
-    which is nonsingular because the matrix is symmetric. One elimination
-    finds the free column of each matrix (at most one); replacing it by a
-    unit row and column leaves a matrix with the determinant of that minor,
-    which a second elimination gives. The pivot rows of the first elimination
-    need not be the pivot columns, so its own pivot product is not Delta.
-    """
-    free = ~_rref_stack(mats.copy(), p)[1]
-    deficit = int(free.sum(axis=1).max(initial=0))
+    which it overwrites. Delta is the principal minor on the pivot columns,
+    nonsingular because the matrix is symmetric; the elimination takes the
+    pivot columns as its pivot rows, so its determinant is that minor."""
+    _, pivots, det = _rref_stack(mats, p)
+    deficit = int((~pivots).sum(axis=1).max())
     if deficit > 1:
         raise DegenerateForm(f"rank deficit {deficit} > 1; discriminant undefined")
-    k, f = np.nonzero(free)
-    mats[k, f, :] = mats[k, :, f] = 0
-    mats[k, f, f] = 1
-    return [eta(p, int(d)) for d in _rref_stack(mats, p)[2]]
+    return [eta(p, int(d)) for d in det]
 
 
 def delta_etas(specs: list) -> list[int]:

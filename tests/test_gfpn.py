@@ -442,11 +442,33 @@ def _det_by_permutations(mat: np.ndarray, p: int) -> int:
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_stacked_determinant_matches_leibniz_expansion(p):
-    # sparse stacks need row swaps and hit singular matrices
+    # the pivot rows are the rows independent of the rows above them; sparse
+    # stacks need row exchanges and are often singular or rectangular
     rng = np.random.default_rng(100 + p)
-    for n in range(1, 6):
-        stack = rng.integers(0, p, size=(60, n, n)) * (rng.random((60, n, n)) < 0.5)
+    full = []
+    for rows, cols in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (3, 5), (5, 3)):
+        stack = rng.integers(0, p, size=(60, rows, cols)) * (rng.random((60, rows, cols)) < 0.5)
         _, _, det = _rref_stack(stack.copy(), p)
-        want = [_det_by_permutations(m, p) for m in stack]
-        assert det.tolist() == want
-        assert 0 in want and len(set(want)) > 2
+        for mat, got in zip(stack, det.tolist()):
+            cols_in = rref_per_row(mat, p)[1]
+            rows_in = [j for j in range(rows)
+                       if len(rref_per_row(mat[: j + 1], p)[1]) > len(rref_per_row(mat[:j], p)[1])]
+            assert got == _det_by_permutations(mat[np.ix_(rows_in, cols_in)], p)
+            if rows == cols == len(cols_in):
+                full.append(got)
+                assert got == _det_by_permutations(mat, p)
+    assert len(set(full)) == p - 1
+
+
+def test_stacked_determinant_of_a_symmetric_matrix_is_its_principal_minor():
+    # the pivot rows are the pivot columns, so the determinant is the
+    # principal minor on them even where the first nonzero entry of a column
+    # lies below rows that only later become pivot rows
+    rng = np.random.default_rng(107)
+    for p in (3, 5, 7, 11):
+        m = rng.integers(0, p, size=(400, 5, 5)) * (rng.random((400, 5, 5)) < 0.4)
+        stack = (m + m.transpose(0, 2, 1)) % p
+        _, pivots, det = _rref_stack(stack.copy(), p)
+        for mat, piv, got in zip(stack, pivots, det.tolist()):
+            cols_in = np.flatnonzero(piv)
+            assert got == _det_by_permutations(mat[np.ix_(cols_in, cols_in)], p)
