@@ -4,7 +4,7 @@ On digit vectors the quadratic part is x^T A x for a symmetric form matrix A
 over F_p. The dimension s of its kernel, the kernel of the polarization
 f(y+z) - f(y) - f(z), controls the whole spectrum: s = 0 means bent, s = 1
 means near-bent with support size p^(n-1). This module builds A for many
-specs at once, and from eliminations of that one stack certifies kernels and
+specs at once, and from one elimination of that stack certifies kernels and
 computes the discriminant class eta(Delta), which fixes the sign of every
 nonzero coefficient. It also decides the closed-form monomial and binomial
 criteria.
@@ -219,7 +219,7 @@ def _stack_delta_etas(mats: np.ndarray, p: int) -> list[int]:
 
 def delta_etas(specs: list) -> list[int]:
     """Discriminant class eta(Delta) of the quadratic part of every spec, from
-    one form-matrix stack per field."""
+    one form-matrix stack and one elimination per field."""
     out = [0] * len(specs)
     for ctx, idx, mats in _field_stacks(specs):
         for k, e in zip(idx, _stack_delta_etas(mats, ctx.p)):
