@@ -5,7 +5,9 @@ polarization kernel {c * beta} and carry witnesses b_k aligning their values
 on beta so that the k-th Walsh support is shifted into its own coset; the
 supports then partition F_{p^n} and F(x, y) = f_y(x) is bent. Regularity of
 F is decided by whether the discriminant classes eta(Delta_k) of the
-components all agree.
+components all agree. Scalars c in F_p^* enter only through the scaling law
+(kernel and beta unchanged, g(beta) times c, eta(Delta) times eta(c)^(n-1)
+at rank n - 1), so the templates g_k are certified once per glueing.
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .cyclotomic import eta
 from .gfpn import FieldCtx, field_to_json, invert_matrix, make_field, solve_trace_equation
-from .quadratic import (
-    QuadraticSpec,
-    binomial_spec,
-    certificate,
-    certificates,
-    delta_etas,
-)
+from .quadratic import QuadraticSpec, binomial_spec, certificate, certificates
 from .spectrum import PFunction, analyze, walsh_full
 
 
@@ -50,7 +47,8 @@ class GluedSpec:
 
     components holds the unscaled templates g_k, scalars the c_k in F_p^*,
     realized the full components c_k * g_k + Tr(b_k x). beta is the canonical
-    kernel generator used by the witness condition.
+    kernel generator used by the witness condition, etas the discriminant
+    classes eta(Delta_k) of the realized components.
     """
 
     ctx: FieldCtx
@@ -59,6 +57,7 @@ class GluedSpec:
     beta: int
     b_witnesses: tuple
     realized: tuple
+    etas: tuple
 
     def to_json(self) -> dict:
         obj = field_to_json(self.ctx)
@@ -83,34 +82,51 @@ class GluedSpec:
 def arrange(components, scalars, b_witnesses=None) -> GluedSpec:
     """Validate components and scalars, then compute or check the witnesses.
 
-    When b_witnesses is omitted, b_k = (g'_0(beta) + k - g'_k(beta)) * b* with
-    b* the smallest index solving Tr(b* beta) = 1; this always satisfies the
-    alignment condition. Supplied witnesses are checked against it instead.
+    When b_witnesses is omitted, b_k = (c_0 g_0(beta) + k - c_k g_k(beta)) * b*
+    with b* the smallest index solving Tr(b* beta) = 1; this always satisfies
+    the alignment condition. Supplied witnesses are checked against it instead.
     """
     components = tuple(components)
-    ctx = components[0].ctx
-    p = ctx.p
-    if len(components) != p:
-        raise ValueError(f"need exactly {p} components, got {len(components)}")
-    if any(g.ctx != ctx for g in components):
-        raise ValueError("components live in different field contexts")
+    p = _common_field(components).p
     scalars = tuple(int(c) % p for c in scalars)
     if len(scalars) != p or any(c == 0 for c in scalars):
         raise ValueError("need exactly p nonzero scalars")
+    return _assemble(_certify(components), scalars, b_witnesses)
 
-    scaled = tuple(g.scale(c) for g, c in zip(components, scalars))
-    certs = certificates(scaled)
+
+def _common_field(components: tuple) -> FieldCtx:
+    """The field of exactly p components that all live in it."""
+    ctx = components[0].ctx
+    if len(components) != ctx.p:
+        raise ValueError(f"need exactly {ctx.p} components, got {len(components)}")
+    if any(g.ctx != ctx for g in components):
+        raise ValueError("components live in different field contexts")
+    return ctx
+
+
+def _certify(components: tuple) -> tuple:
+    """Certify the templates g_k with one elimination: each is near-bent and
+    all share one kernel. Returns (field, components, beta, b*, the values
+    g_k(beta), the classes eta(Delta(g_k)))."""
+    certs = certificates(components)
     for k, cert in enumerate(certs):
         if cert.s != 1:
             raise NotNearBent(k, cert.s)
     # beta, the smallest nonzero kernel element, tells one-dimensional kernels apart
     if len({cert.beta for cert in certs}) != 1:
         raise KernelMismatch("components have different polarization kernels")
-    beta = certs[0].beta
+    beta, ctx = certs[0].beta, components[0].ctx
+    return (ctx, components, beta, solve_trace_equation(ctx, beta, 1),
+            [g.evaluate(beta) for g in components], [c.eta for c in certs])
 
-    gvals = [g.evaluate(beta) for g in scaled]
+
+def _assemble(templates: tuple, scalars: tuple, b_witnesses=None) -> GluedSpec:
+    """The glueing of certified templates with scalars c_k, by the scaling
+    law: c_k g_k(beta) and eta(c_k)^(n-1) eta(Delta(g_k)) in F_p arithmetic."""
+    ctx, components, beta, bstar, gvals, etas = templates
+    p = ctx.p
+    gvals = [c * v % p for c, v in zip(scalars, gvals)]
     if b_witnesses is None:
-        bstar = solve_trace_equation(ctx, beta, 1)
         b_witnesses = tuple(
             ctx.mul(ctx.element_from_int(gvals[0] + k - gvals[k]), bstar)
             for k in range(p)
@@ -125,8 +141,10 @@ def arrange(components, scalars, b_witnesses=None) -> GluedSpec:
                     f"witness {k}: component value {got} on beta, expected {want}"
                 )
 
-    realized = tuple(g.with_linear(b) for g, b in zip(scaled, b_witnesses))
-    return GluedSpec(ctx, components, scalars, beta, b_witnesses, realized)
+    realized = tuple(g.scale(c).with_linear(b)
+                     for g, c, b in zip(components, scalars, b_witnesses))
+    etas = tuple(eta(p, c) ** (ctx.n - 1) * e for c, e in zip(scalars, etas))
+    return GluedSpec(ctx, components, scalars, beta, b_witnesses, realized, etas)
 
 
 def glue(spec: GluedSpec) -> PFunction:
@@ -242,8 +260,7 @@ def build_example(eid: int) -> GluedSpec:
 
 def predict_regularity(spec: GluedSpec) -> str:
     """WeaklyRegular iff all component discriminant classes agree."""
-    etas = delta_etas(list(spec.realized))
-    return "WeaklyRegular" if len(set(etas)) == 1 else "NonWeaklyRegular"
+    return "WeaklyRegular" if len(set(spec.etas)) == 1 else "NonWeaklyRegular"
 
 
 def spectral_regularity(spec: GluedSpec) -> str:
@@ -266,14 +283,7 @@ class ScanReport:
 
     def to_json(self) -> dict:
         return {
-            "rows": [
-                {
-                    "scalars": list(r["scalars"]),
-                    "predicted": r["predicted"],
-                    "spectral": r["spectral"],
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(r, scalars=list(r["scalars"])) for r in self.rows],
             "weakly_regular": self.weakly_regular,
             "non_weakly_regular": self.non_weakly_regular,
             "spectra_checked": self.spectra_checked,
@@ -284,14 +294,20 @@ class ScanReport:
 def scan_coefficients(components, confirm_spectrum: bool = False) -> ScanReport:
     """Sweep all (p-1)^p scalar tuples, predicting regularity for each.
 
-    Tuples are processed in lexicographic order. With confirm_spectrum the
-    full spectrum of every glued function is also classified and compared.
+    The templates are certified once, before any tuple. Tuples are processed
+    in lexicographic order. With confirm_spectrum the full spectrum of every
+    glued function is also classified and compared. More than 2^20 tuples
+    (p >= 11) is a ValueError.
     """
     components = tuple(components)
-    p = components[0].ctx.p
+    p = _common_field(components).p
+    if (p - 1) ** p > 2 ** 20:
+        raise ValueError(f"a scan over F_{p} has (p-1)^p = {(p - 1) ** p} scalar tuples, "
+                         f"more than the limit of {2 ** 20}")
+    templates = _certify(components)
     rows = []
     for c in itertools.product(range(1, p), repeat=p):
-        gs = arrange(components, c)
+        gs = _assemble(templates, c)
         pred = predict_regularity(gs)
         spect = spectral_regularity(gs) if confirm_spectrum else None
         rows.append({"scalars": c, "predicted": pred, "spectral": spect})

@@ -412,15 +412,20 @@ def kernel(mat: np.ndarray, p: int) -> list:
     the free position.
     """
     m = np.array(mat, dtype=np.int64) % p
-    stack, pivots, _ = _rref_stack(m.reshape((-1,) + m.shape[-2:]), p)
+    bases = _null_bases(*_rref_stack(m.reshape((-1,) + m.shape[-2:]), p)[:2], p)
+    return bases[0] if m.ndim == 2 else bases
+
+
+def _null_bases(stack: np.ndarray, pivots: np.ndarray, p: int) -> list:
+    """Kernel bases of a stack that _rref_stack reduced, from its pivot masks."""
     bases = []
     for red, piv in zip(stack, pivots):
         cols, free = np.flatnonzero(piv), np.flatnonzero(~piv)
-        basis = np.zeros((free.size, m.shape[-1]), dtype=np.int64)
+        basis = np.zeros((free.size, piv.size), dtype=np.int64)
         basis[np.arange(free.size), free] = 1
         basis[:, cols] = -red[: cols.size, free].T % p
         bases.append(list(basis))
-    return bases[0] if m.ndim == 2 else bases
+    return bases
 
 
 def invert_matrix(mat: np.ndarray, p: int) -> np.ndarray:

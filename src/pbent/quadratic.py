@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, _rref_stack, field_to_json, kernel, linmap_matrix, make_field, rank
+from .gfpn import FieldCtx, _null_bases, _rref_stack, field_to_json, linmap_matrix, make_field, rank
 from .spectrum import PFunction
 
 
@@ -154,49 +154,51 @@ def _values(spec: QuadraticSpec, d: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class NearBentCertificate:
     """Kernel data of the quadratic form: s = dim, basis as element indices,
-    and the canonical generator beta (smallest nonzero kernel index, only
-    set when s = 1)."""
+    the canonical generator beta (smallest nonzero kernel index, only set
+    when s = 1) and the discriminant class eta(Delta) (only set when s <= 1)."""
 
     s: int
     kernel_basis: tuple
     beta: int | None
+    eta: int | None
 
 
 def _field_stacks(specs: list):
     """Per field: the positions of its specs and their form-matrix stack."""
+    if not all(q.quad_terms for q in specs):
+        raise EmptyQuadraticPart("no quadratic terms")
     for ctx in {q.ctx for q in specs}:
         idx = [k for k, q in enumerate(specs) if q.ctx == ctx]
         yield ctx, idx, form_matrices(ctx, _coefficient_rows([specs[k] for k in idx]))
 
 
-def _kernel_stacks(specs: list):
-    """_field_stacks of specs that all have a quadratic part."""
-    if not all(q.quad_terms for q in specs):
-        raise EmptyQuadraticPart("no quadratic terms")
-    return _field_stacks(specs)
-
-
 def kernel_dims(specs: list) -> np.ndarray:
     """Kernel dimension s of every spec, from one stacked rank per field."""
     dims = np.empty(len(specs), dtype=np.int64)
-    for ctx, idx, mats in _kernel_stacks(specs):
+    for ctx, idx, mats in _field_stacks(specs):
         dims[idx] = ctx.n - rank(mats, ctx.p)
     return dims
 
 
 def certificates(specs: list) -> list[NearBentCertificate]:
-    """Kernel dimension s plus a canonical generator when s = 1, for every
-    spec: one form-matrix stack and one elimination per field.
+    """Kernel dimension s, a canonical generator when s = 1 and the
+    discriminant class when s <= 1, for every spec: one form-matrix stack
+    and one elimination per field.
 
     A basis vector has a 1 at its free column and zeros above it, so its
     highest nonzero digit is 1. When s = 1 that makes it the smallest nonzero
     multiple of itself, since the highest digit dominates the index: beta.
+    Delta is the principal minor on the pivot columns, nonsingular because
+    the matrix is symmetric; the elimination takes the pivot columns as its
+    pivot rows, so its determinant is that minor.
     """
     out = [None] * len(specs)
-    for ctx, idx, mats in _kernel_stacks(specs):
-        for k, vecs in zip(idx, kernel(mats, ctx.p)):
-            basis = tuple(ctx.encode(v) for v in vecs)
-            out[k] = NearBentCertificate(len(basis), basis, basis[0] if len(basis) == 1 else None)
+    for ctx, idx, mats in _field_stacks(specs):
+        stack, pivots, det = _rref_stack(mats, ctx.p)
+        for k, vecs, d in zip(idx, _null_bases(stack, pivots, ctx.p), det):
+            b = tuple(ctx.encode(v) for v in vecs)
+            out[k] = NearBentCertificate(len(b), b, b[0] if len(b) == 1 else None,
+                                         eta(ctx.p, int(d)) if len(b) <= 1 else None)
     return out
 
 
@@ -205,31 +207,12 @@ def certificate(spec: QuadraticSpec) -> NearBentCertificate:
     return certificates([spec])[0]
 
 
-def _stack_delta_etas(mats: np.ndarray, p: int) -> list[int]:
-    """eta(Delta) of every symmetric matrix of an (N, n, n) stack over F_p,
-    which it overwrites. Delta is the principal minor on the pivot columns,
-    nonsingular because the matrix is symmetric; the elimination takes the
-    pivot columns as its pivot rows, so its determinant is that minor."""
-    _, pivots, det = _rref_stack(mats, p)
-    deficit = int((~pivots).sum(axis=1).max())
-    if deficit > 1:
-        raise DegenerateForm(f"rank deficit {deficit} > 1; discriminant undefined")
-    return [eta(p, int(d)) for d in det]
-
-
-def delta_etas(specs: list) -> list[int]:
-    """Discriminant class eta(Delta) of the quadratic part of every spec, from
-    one form-matrix stack and one elimination per field."""
-    out = [0] * len(specs)
-    for ctx, idx, mats in _field_stacks(specs):
-        for k, e in zip(idx, _stack_delta_etas(mats, ctx.p)):
-            out[k] = e
-    return out
-
-
 def delta_eta(spec: QuadraticSpec) -> int:
     """Discriminant class eta(Delta) of the quadratic part of spec."""
-    return delta_etas([spec])[0]
+    cert = certificate(spec)
+    if cert.eta is None:
+        raise DegenerateForm(f"rank deficit {cert.s} > 1; discriminant undefined")
+    return cert.eta
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +301,11 @@ def near_bent_zeta_prediction(spec: QuadraticSpec) -> str:
     """
     ctx = spec.ctx
     n, p = ctx.n, ctx.p
-    e = delta_eta(spec)
-    if p % 4 == 1:
-        sign = e
-        imaginary = False
-    elif n % 2 == 0:
-        sign = e * (-1) ** ((n - 2) // 2)
-        imaginary = True
-    else:
-        sign = e * (-1) ** ((n - 1) // 2)
-        imaginary = False
-    if imaginary:
-        return "i" if sign == 1 else "-i"
+    sign = delta_eta(spec)
+    if p % 4 == 3:
+        sign *= (-1) ** ((n - 1) // 2)
+        if n % 2 == 0:
+            return "i" if sign == 1 else "-i"
     return "1" if sign == 1 else "-1"
 
 

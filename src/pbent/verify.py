@@ -33,7 +33,6 @@ from .quadratic import (
     binomial_spec,
     certificates,
     circulant_delta,
-    delta_etas,
     form_matrices,
     kernel_dims,
 )
@@ -363,7 +362,8 @@ def _criterion_9() -> tuple[bool, dict]:
     # discriminant scaling law on random near-bent specs (rank n - 1)
     pairs = _scaling_pairs(rng)
     details["scaling_specs"] = len(pairs)
-    etas = delta_etas([q for q, _ in pairs] + [q.scale(c) for q, c in pairs])
+    certs = certificates([q for q, _ in pairs] + [q.scale(c) for q, c in pairs])
+    etas = [cert.eta for cert in certs]
     verdicts["discriminant_scaling"] = all(
         scaled == eta(q.ctx.p, c) ** (q.ctx.n - 1) * base
         for (q, c), base, scaled in zip(pairs, etas, etas[len(pairs):])
@@ -385,7 +385,8 @@ def _criterion_9() -> tuple[bool, dict]:
         # cross-route: the discriminant class computed from the power basis
         ctx = make_field(3, n)
         d = deltas.pop()
-        if set(delta_etas([binomial_spec(ctx, r, t, "minus") for r, t in pairs])) != {eta(3, d)}:
+        certs = certificates([binomial_spec(ctx, r, t, "minus") for r, t in pairs])
+        if {cert.eta for cert in certs} != {eta(3, d)}:
             invariance_ok = False
     verdicts["circulant_invariance"] = invariance_ok
 

@@ -5,7 +5,14 @@ from itertools import product
 
 import numpy as np
 
-from pbent.construct import AnfPoly, GluedSpec, _vandermonde
+from pbent.construct import (
+    AnfPoly,
+    GluedSpec,
+    KernelMismatch,
+    NotNearBent,
+    WitnessConditionError,
+    _vandermonde,
+)
 from pbent.cyclotomic import CycInt, eta, match_shape
 from pbent.gfpn import (
     FieldCtx,
@@ -16,8 +23,9 @@ from pbent.gfpn import (
     invert_matrix,
     linear_index_map,
     make_field,
+    solve_trace_equation,
 )
-from pbent.quadratic import DegenerateForm, NearBentCertificate, QuadraticSpec
+from pbent.quadratic import DegenerateForm, NearBentCertificate, QuadraticSpec, certificates
 from pbent.spectrum import (
     PFunction,
     ShapeMismatch,
@@ -382,7 +390,9 @@ def linearized_per_element(spec) -> list[int]:
 
 def certificate_per_spec(spec) -> NearBentCertificate:
     """Kernel of L from its per-element matrix and a row-by-row elimination;
-    beta is the smallest nonzero multiple of the basis vector when s = 1."""
+    beta is the smallest nonzero multiple of the basis vector when s = 1,
+    and when s <= 1 eta(Delta) comes from congruence diagonalization of the
+    form matrix built from polarized values."""
     ctx, p = spec.ctx, spec.ctx.p
     m, pivots = rref_per_row(linmap_matrix_per_element(ctx, linearized_per_element(spec)), p)
     basis = []
@@ -393,7 +403,8 @@ def certificate_per_spec(spec) -> NearBentCertificate:
             v[c] = int(-m[row, f] % p)
         basis.append(ctx.encode(v))
     beta = min(kernel_elements_loop(ctx, basis) - {0}) if len(basis) == 1 else None
-    return NearBentCertificate(len(basis), tuple(basis), beta)
+    e = delta_eta_of_matrix(form_matrix_per_term(spec), p) if len(basis) <= 1 else None
+    return NearBentCertificate(len(basis), tuple(basis), beta, e)
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +505,53 @@ def scaling_pairs_per_draw(rng) -> list:
             continue
         pairs.append((q, rng.randrange(1, ctx.p)))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# glueing one scalar tuple at a time
+
+
+def arrange_per_tuple(components, scalars, b_witnesses=None) -> GluedSpec:
+    """arrange as first written: certify the p scaled components c_k g_k,
+    evaluate them on beta, and eliminate the realized components once more
+    for their discriminant classes, all for this one scalar tuple."""
+    components = tuple(components)
+    ctx = components[0].ctx
+    p = ctx.p
+    if len(components) != p:
+        raise ValueError(f"need exactly {p} components, got {len(components)}")
+    if any(g.ctx != ctx for g in components):
+        raise ValueError("components live in different field contexts")
+    scalars = tuple(int(c) % p for c in scalars)
+    if len(scalars) != p or any(c == 0 for c in scalars):
+        raise ValueError("need exactly p nonzero scalars")
+
+    scaled = tuple(g.scale(c) for g, c in zip(components, scalars))
+    certs = certificates(scaled)
+    for k, cert in enumerate(certs):
+        if cert.s != 1:
+            raise NotNearBent(k, cert.s)
+    if len({cert.beta for cert in certs}) != 1:
+        raise KernelMismatch("components have different polarization kernels")
+    beta = certs[0].beta
+
+    gvals = [g.evaluate(beta) for g in scaled]
+    if b_witnesses is None:
+        bstar = solve_trace_equation(ctx, beta, 1)
+        b_witnesses = tuple(
+            ctx.mul(ctx.element_from_int(gvals[0] + k - gvals[k]), bstar)
+            for k in range(p)
+        )
+    else:
+        b_witnesses = tuple(int(b) for b in b_witnesses)
+        for k, b in enumerate(b_witnesses):
+            got = (gvals[k] + ctx.trace(ctx.mul(b, beta))) % p
+            want = (gvals[0] + k) % p
+            if got != want:
+                raise WitnessConditionError(
+                    f"witness {k}: component value {got} on beta, expected {want}"
+                )
+
+    realized = tuple(g.with_linear(b) for g, b in zip(scaled, b_witnesses))
+    etas = tuple(cert.eta for cert in certificates(list(realized)))
+    return GluedSpec(ctx, components, scalars, beta, b_witnesses, realized, etas)

@@ -282,6 +282,28 @@ def test_scan_rejects_bad_templates(tmp_path, capsys):
     assert rc == 2 and "exactly 3" in err
 
 
+def test_scan_with_too_many_scalar_tuples_exits_2_at_once(tmp_path, capsys, monkeypatch):
+    # Tr(x^(11^2 + 1) - x^2) on F_{11^3} is near-bent, but its scan would
+    # sweep 10^11 scalar tuples
+    import time
+
+    from pbent import construct
+
+    def no_certify(_specs):
+        raise AssertionError("certified an oversized scan")
+
+    monkeypatch.setattr(construct, "certificates", no_certify)
+    component = {"quad_terms": [{"a_index": 1, "i": 2}, {"a_index": 10, "i": 0}]}
+    src = tmp_path / "p11.json"
+    src.write_text(json.dumps({"p": 11, "n": 3, "components": [component] * 11}))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["scan", str(src)])
+    assert time.perf_counter() - start < 2
+    assert (rc, out) == (2, "")
+    assert err == ("error: a scan over F_11 has (p-1)^p = 100000000000 scalar tuples, "
+                   "more than the limit of 1048576\n")
+
+
 def test_verify_paper_reports_every_criterion(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc, out, _ = run(capsys, ["verify-paper", "--json", str(report)])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from pbent.construct import (
     spectral_regularity,
 )
 from pbent.gfpn import make_field, solve_trace_equation
-from pbent.quadratic import QuadraticSpec, binomial_spec
+from pbent.quadratic import QuadraticSpec, binomial_spec, certificates
 from pbent.spectrum import PFunction, analyze, walsh_full
 
 from oracles import (
     anf_tensordot,
+    arrange_per_tuple,
     lagrange_glue_reference,
     pairing_vector,
     support_partition_check,
@@ -229,9 +232,92 @@ def test_spectral_regularity_rejects_non_bent():
     g = binomial_spec(ctx, 2, 1, "minus")
     gs = arrange((g, g, g), (1, 1, 1))
     broken = GluedSpec(ctx, gs.components, gs.scalars, gs.beta, gs.b_witnesses,
-                       (gs.realized[0],) * 3)  # same support thrice
+                       (gs.realized[0],) * 3, gs.etas)  # same support thrice
     with pytest.raises(RuntimeError):
         spectral_regularity(broken)
+
+
+def _glueing(fn, components, scalars, b_witnesses=None):
+    """The glued spec and its prediction, or the error fn raises."""
+    try:
+        gs = fn(components, scalars, b_witnesses)
+    except NotNearBent as exc:
+        return "NotNearBent", str(exc), exc.k, exc.s
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return gs, predict_regularity(gs)
+
+
+def _template_groups(p: int, n: int) -> list:
+    """Same-template and mixed groups of p binomial templates on F_{p^n},
+    among them groups with a kernel mismatch or a component with s != 1."""
+    ctx = make_field(p, n)
+    temps = [binomial_spec(ctx, r, t, v) for r in range(1, n) for t in range(r)
+             for v in ("minus", "plus")]
+    dims = [cert.s for cert in certificates(temps)]
+    near = [g for g, s in zip(temps, dims) if s == 1][:4]
+    other = [g for g, s in zip(temps, dims) if s != 1]
+    groups = [(g,) * p for g in near]
+    groups += [(g,) * (p - 1) + (h,) for g, h in zip(near, near[1:])]
+    groups += [(h,) + (g,) * (p - 1) for g, h in zip(near, near[1:])]
+    groups += [(near[0],) * (p - 1) + (b,) for b in other[:1]]
+    groups += [(b,) + (near[0],) * (p - 1) for b in other[-1:]]
+    groups.append(tuple(near[0].scale(1 + k % (p - 1)).with_linear(k) for k in range(p)))
+    return groups
+
+
+def test_arrange_equals_the_per_tuple_oracle():
+    # certifying the templates once and scaling by eta(c)^(n-1) gives the
+    # spec, the prediction and the error that certifying every scaled tuple
+    # and eliminating its realized components give; every field up to 3^8
+    # and 5^4 with a near-bent binomial, every 41st tuple at p = 5
+    seen = set()
+
+    def check(comps, scalars, b_witnesses=None):
+        got = _glueing(arrange, comps, scalars, b_witnesses)
+        assert got == _glueing(arrange_per_tuple, comps, scalars, b_witnesses), scalars
+        seen.add(got[1] if isinstance(got[0], GluedSpec) else got[0])
+        return got[0]
+
+    for p, n in ((3, 2), (3, 4), (3, 5), (3, 7), (3, 8), (5, 2), (5, 3), (5, 4)):
+        tuples = list(itertools.product(range(1, p), repeat=p))[:: 1 if p == 3 else 41]
+        for comps in _template_groups(p, n):
+            for scalars in tuples:
+                gs = check(comps, scalars)
+            if isinstance(gs, GluedSpec):  # supplied witnesses, good and bad
+                check(comps, scalars, gs.b_witnesses)
+                check(comps, scalars, gs.b_witnesses[1:] + gs.b_witnesses[:1])
+            check(comps, (0,) + (1,) * (p - 1))
+            check(comps[1:], (1,) * (p - 1))
+    assert seen == {"WeaklyRegular", "NonWeaklyRegular", "NotNearBent", "KernelMismatch",
+                    "WitnessConditionError", "ValueError"}
+
+
+def test_scan_eliminates_once_and_predict_never(monkeypatch):
+    from pbent import gfpn, quadratic
+
+    eliminations, evaluations = [], []
+    real_rref, real_evaluate = gfpn._rref_stack, QuadraticSpec.evaluate
+
+    def counting_rref(m, p):
+        eliminations.append(m.shape[0])
+        return real_rref(m, p)
+
+    def counting_evaluate(spec, x):
+        evaluations.append(x)
+        return real_evaluate(spec, x)
+
+    monkeypatch.setattr(gfpn, "_rref_stack", counting_rref)
+    monkeypatch.setattr(quadratic, "_rref_stack", counting_rref)
+    monkeypatch.setattr(QuadraticSpec, "evaluate", counting_evaluate)
+    g = binomial_spec(make_field(5, 3), 2, 0, "minus")
+    report = scan_coefficients((g,) * 5)
+    assert len(report.rows) == 4 ** 5
+    assert eliminations == [5] and len(evaluations) == 5
+    gs = arrange((g,) * 5, (1, 2, 3, 4, 1))
+    eliminations.clear()
+    assert predict_regularity(gs) == "WeaklyRegular"
+    assert eliminations == []
 
 
 def test_scan_counts_on_even_n_template():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pbent.cyclotomic import eta
-from pbent.gfpn import make_field, rank
+from pbent.gfpn import _rref_stack, make_field, rank
 from pbent.quadratic import (
     DegenerateExponents,
     DegenerateForm,
@@ -13,14 +13,12 @@ from pbent.quadratic import (
     QuadraticSpec,
     RootOfUnityNotFound,
     _coefficient_rows,
-    _stack_delta_etas,
     binomial_near_bent,
     binomial_spec,
     certificate,
     certificates,
     circulant_delta,
     delta_eta,
-    delta_etas,
     form_matrices,
     kernel_dims,
     monomial_bent_criterion,
@@ -147,12 +145,10 @@ def test_stacked_certificates_match_per_spec_oracle():
     for q, cert in zip(specs, certs):
         assert cert == certificate_per_spec(q) == certificate(q), q
     assert certificates([]) == []
-    # the discriminant of every form with s <= 1, against congruence
-    # diagonalization of its matrix from polarized values
-    low = [q for q, cert in zip(specs, certs) if cert.s <= 1]
-    want = [delta_eta_of_matrix(form_matrix_per_term(q), q.ctx.p) for q in low]
-    assert delta_etas(low) == want
-    assert set(want) == {-1, 1}
+    # the oracle's eta comes from congruence diagonalization of the form
+    # matrix built from polarized values; it is set exactly when s <= 1
+    assert {c.eta for c in certs if c.s <= 1} == {-1, 1}
+    assert {c.eta for c in certs if c.s > 1} == {None}
 
 
 def test_kernel_at_the_largest_characteristic_is_fast():
@@ -340,12 +336,13 @@ def test_stacked_discriminant_matches_congruence_oracle():
         for n in range(1, 8):
             mats = _symmetric_stack(rng, p, n, 40)
             want = [delta_eta_of_matrix(a, p) for a in mats]
-            assert _stack_delta_etas(mats.copy(), p) == want, (p, n)
+            det = _rref_stack(mats.copy(), p)[2]
+            assert [eta(p, int(d)) for d in det] == want, (p, n)
             singular += int(np.sum(rank(mats, p) == n - 1))
     assert singular > 400
 
 
-def test_delta_etas_keep_input_order_across_fields():
+def test_certificate_etas_keep_input_order_across_fields():
     fields = [make_field(3, 5), make_field(5, 3), make_field(3, 4), make_field(7, 2)]
     rng = random.Random(73)
     specs = []
@@ -355,10 +352,9 @@ def test_delta_etas_keep_input_order_across_fields():
                                 (rng.randrange(1, ctx.size), rng.randrange(ctx.n))))
         if certificate(q).s <= 1:
             specs.append(q)
-    got = delta_etas(specs)
+    got = [cert.eta for cert in certificates(specs)]
     assert got == [delta_eta(q) for q in specs]
     assert got == [delta_eta_of_matrix(form_matrix_per_term(q), q.ctx.p) for q in specs]
-    assert delta_etas([]) == []
 
 
 def test_delta_eta_rejects_deep_degeneracy():
@@ -368,10 +364,12 @@ def test_delta_eta_rejects_deep_degeneracy():
     ctx = make_field(3, 4)
     q = QuadraticSpec(ctx, ((1, 0), (2, 2)))
     assert certificate(q).s == 2
-    with pytest.raises(DegenerateForm):
+    with pytest.raises(DegenerateForm, match="rank deficit 2 > 1"):
         delta_eta(q)
-    with pytest.raises(DegenerateForm):
-        delta_etas([binomial_spec(ctx, 2, 1, "plus"), q])
+    # in a batch the degenerate form has no class and the others keep theirs
+    plus, deep = certificates([binomial_spec(ctx, 2, 1, "plus"), q])
+    assert plus.eta == delta_eta(binomial_spec(ctx, 2, 1, "plus"))
+    assert deep.eta is None
 
 
 def test_delta_eta_is_congruence_invariant():

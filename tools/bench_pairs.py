@@ -13,6 +13,9 @@ quartiles, the pairs the change won (ties count for neither side) and
 whether that is a gain: at least nine tenths of the pairs won and medians
 further apart than the parent's interquartile range. The file is rewritten
 after every pair, so an interrupted run keeps the pairs it finished.
+The workers' stderr is a pipe (recorded as "worker_stderr": "pipe"); that
+alone moves the glued_bent peak_rss_mb by about 1.5 MB against a run whose
+stderr is inherited, so compare peak RSS only between runs made the same way.
 Standard library only.
 """
 
@@ -118,6 +121,7 @@ def main() -> int:
     record = {
         "tag": args.tag,
         "command": "perfbench/run.py --trace 0",
+        "worker_stderr": "pipe",
         "seconds": args.seconds,
         "machine": machine(),
         "parent": checkout(args.parent),
