@@ -16,8 +16,8 @@ import sys
 import time
 
 from . import verify
-from .construct import GluedSpec, anf, build_example, glue, scan_coefficients
-from .gfpn import field_to_json, make_field
+from .construct import GluedSpec, anf, build_example, glue, scan_coefficients, templates_from_json
+from .gfpn import field_to_json, make_field, read_field
 from .quadratic import QuadraticSpec
 from .spectrum import PFunction, analyze, b_zero_slice_multiplicities, walsh_full
 from .spectrum import check_transform_size, mults_json
@@ -83,10 +83,7 @@ def _cmd_field(args) -> int:
 
 def _check_size(obj: dict, key: str, extra: int) -> None:
     """The transform's size guard on p and obj[key] + extra, before anything is built."""
-    try:
-        check_transform_size(int(obj["p"]), int(obj[key]) + extra)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"input needs integer fields 'p' and {key!r}") from exc
+    check_transform_size(read_field(obj, "p"), read_field(obj, key) + extra)
 
 
 def _function_from_obj(obj: dict) -> PFunction:
@@ -145,8 +142,6 @@ def _cmd_construct(args) -> int:
         digest = _digest(args.source.encode())
     else:
         obj, digest = _load_json(args.source)
-        if "components" not in obj:
-            raise ValidationError("glued spec file must have a 'components' field")
         _check_size(obj, "n", 1)
         gs = GluedSpec.from_json(obj)
     f = glue(gs)
@@ -172,17 +167,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_scan(args) -> int:
     obj, digest = _load_json(args.input)
-    for key in ("p", "n", "components"):
-        if key not in obj:
-            raise ValidationError(f"scan template is missing the field {key!r}")
     if args.confirm_spectrum:
         _check_size(obj, "n", 1)
-    ctx = make_field(int(obj["p"]), int(obj["n"]), obj.get("modulus"))
-    comps = tuple(QuadraticSpec.from_json(c, ctx) for c in obj["components"])
-    if len(comps) != ctx.p:
-        raise ValidationError(
-            f"components: need exactly {ctx.p} entries, got {len(comps)}"
-        )
+    comps = templates_from_json(obj)
     t0 = time.perf_counter()
     report = scan_coefficients(comps, confirm_spectrum=args.confirm_spectrum)
     t1 = time.perf_counter()

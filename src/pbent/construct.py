@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, field_to_json, invert_matrix, make_field, solve_trace_equation
+from .gfpn import FieldCtx, field_from_json, field_to_json, invert_matrix, make_field, read_field
+from .gfpn import solve_trace_equation
 from .quadratic import QuadraticSpec, binomial_spec, certificate, certificates
 from .spectrum import PFunction, analyze, walsh_full
 
@@ -72,11 +73,21 @@ class GluedSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GluedSpec":
-        ctx = make_field(int(obj["p"]), int(obj["n"]), obj.get("modulus"))
-        comps = tuple(QuadraticSpec.from_json(c, ctx) for c in obj["components"])
-        scalars = tuple(int(c) for c in obj["scalars"])
-        b = obj.get("b_indices")
-        return arrange(comps, scalars, None if b is None else tuple(int(v) for v in b))
+        comps = templates_from_json(obj)
+        scalars = read_field(obj, "scalars", _ints)
+        return arrange(comps, scalars, read_field(obj, "b_indices", _ints, None))
+
+
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
+def templates_from_json(obj: dict) -> tuple:
+    """The templates g_k of a glued spec or a scan template: one quadratic
+    spec per entry of its components, over the field it names."""
+    ctx = field_from_json(obj)
+    return read_field(obj, "components",
+                      lambda comps: tuple(QuadraticSpec.from_json(c, ctx) for c in comps))
 
 
 def arrange(components, scalars, b_witnesses=None) -> GluedSpec:

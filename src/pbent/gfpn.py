@@ -404,30 +404,6 @@ def rank(mat: np.ndarray, p: int):
     return int(ranks[0]) if m.ndim == 2 else ranks.reshape(m.shape[:-2])
 
 
-def kernel(mat: np.ndarray, p: int) -> list:
-    """Deterministic basis of the null space of mat over F_p, or the list of
-    bases of an (N, rows, cols) stack from one elimination over the stack.
-
-    One basis vector per free column, in increasing column order, with a 1 in
-    the free position.
-    """
-    m = np.array(mat, dtype=np.int64) % p
-    bases = _null_bases(*_rref_stack(m.reshape((-1,) + m.shape[-2:]), p)[:2], p)
-    return bases[0] if m.ndim == 2 else bases
-
-
-def _null_bases(stack: np.ndarray, pivots: np.ndarray, p: int) -> list:
-    """Kernel bases of a stack that _rref_stack reduced, from its pivot masks."""
-    bases = []
-    for red, piv in zip(stack, pivots):
-        cols, free = np.flatnonzero(piv), np.flatnonzero(~piv)
-        basis = np.zeros((free.size, piv.size), dtype=np.int64)
-        basis[np.arange(free.size), free] = 1
-        basis[:, cols] = -red[: cols.size, free].T % p
-        bases.append(list(basis))
-    return bases
-
-
 def invert_matrix(mat: np.ndarray, p: int) -> np.ndarray:
     n = mat.shape[0]
     aug = np.concatenate([np.array(mat, dtype=np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
@@ -525,4 +501,23 @@ def field_to_json(ctx: FieldCtx) -> dict:
 
 
 def field_from_json(obj: dict) -> FieldCtx:
-    return make_field(int(obj["p"]), int(obj["n"]), obj.get("modulus"))
+    """The field of a JSON object: its p, n and optional modulus."""
+    return make_field(read_field(obj, "p"), read_field(obj, "n"),
+                      read_field(obj, "modulus", tuple, None))
+
+
+_REQUIRED = object()
+
+
+def read_field(obj: dict, key: str, convert=int, default=_REQUIRED):
+    """convert(obj[key]), or default where the field is absent or null and a
+    default is given: the one reader of JSON from outside the program. A
+    missing or ill-typed field, or a missing or ill-typed entry within it, is
+    a ValueError that names the field."""
+    try:
+        if default is not _REQUIRED and obj.get(key) is None:
+            return default
+        return convert(obj[key])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"field {key!r} is missing or ill-typed "
+                         f"({type(exc).__name__}: {exc})") from exc

@@ -19,7 +19,8 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, _null_bases, _rref_stack, field_to_json, linmap_matrix, make_field, rank
+from .gfpn import FieldCtx, _rref_stack, field_from_json, field_to_json, linmap_matrix, make_field
+from .gfpn import read_field
 from .spectrum import PFunction
 
 
@@ -107,12 +108,11 @@ class QuadraticSpec:
 
     @classmethod
     def from_json(cls, obj: dict, ctx: FieldCtx | None = None) -> "QuadraticSpec":
-        if ctx is None:
-            ctx = make_field(int(obj["p"]), int(obj["n"]), obj.get("modulus"))
-        terms = tuple(
-            (int(t["a_index"]), int(t["i"])) for t in obj.get("quad_terms", [])
-        )
-        return cls(ctx, terms, int(obj.get("linear_index", 0)), int(obj.get("constant", 0)))
+        ctx = field_from_json(obj) if ctx is None else ctx
+        terms = read_field(obj, "quad_terms",
+                           lambda ts: tuple((int(t["a_index"]), int(t["i"])) for t in ts), ())
+        return cls(ctx, terms, read_field(obj, "linear_index", int, 0),
+                   read_field(obj, "constant", int, 0))
 
 
 def form_matrices(ctx: FieldCtx, rows) -> np.ndarray:
@@ -153,12 +153,12 @@ def _values(spec: QuadraticSpec, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NearBentCertificate:
-    """Kernel data of the quadratic form: s = dim, basis as element indices,
-    the canonical generator beta (smallest nonzero kernel index, only set
-    when s = 1) and the discriminant class eta(Delta) (only set when s <= 1)."""
+    """What the glueing needs of a quadratic form, all from one elimination:
+    the kernel dimension s, the canonical kernel generator beta (the smallest
+    nonzero kernel index, only set when s = 1) and the discriminant class
+    eta(Delta) (only set when s <= 1). No kernel basis is kept."""
 
     s: int
-    kernel_basis: tuple
     beta: int | None
     eta: int | None
 
@@ -172,33 +172,37 @@ def _field_stacks(specs: list):
         yield ctx, idx, form_matrices(ctx, _coefficient_rows([specs[k] for k in idx]))
 
 
-def kernel_dims(specs: list) -> np.ndarray:
-    """Kernel dimension s of every spec, from one stacked rank per field."""
-    dims = np.empty(len(specs), dtype=np.int64)
-    for ctx, idx, mats in _field_stacks(specs):
-        dims[idx] = ctx.n - rank(mats, ctx.p)
-    return dims
-
-
 def certificates(specs: list) -> list[NearBentCertificate]:
-    """Kernel dimension s, a canonical generator when s = 1 and the
+    """Kernel dimension s, the canonical generator beta when s = 1 and the
     discriminant class when s <= 1, for every spec: one form-matrix stack
-    and one elimination per field.
+    and one elimination per field, and no kernel basis.
 
-    A basis vector has a 1 at its free column and zeros above it, so its
-    highest nonzero digit is 1. When s = 1 that makes it the smallest nonzero
-    multiple of itself, since the highest digit dominates the index: beta.
-    Delta is the principal minor on the pivot columns, nonsingular because
-    the matrix is symmetric; the elimination takes the pivot columns as its
-    pivot rows, so its determinant is that minor.
+    s is the number of free columns. When s = 1 the kernel is spanned by the
+    vector with a 1 at the free column and -red[row(c), free] at each pivot
+    column c, row(c) the pivot row of c. Its highest nonzero digit is 1, so
+    it is the smallest nonzero multiple of itself, since the highest digit
+    dominates the index: beta. Delta is the principal minor on the pivot
+    columns, nonsingular because the matrix is symmetric; the elimination
+    takes the pivot columns as its pivot rows, so its determinant is that
+    minor.
     """
     out = [None] * len(specs)
     for ctx, idx, mats in _field_stacks(specs):
-        stack, pivots, det = _rref_stack(mats, ctx.p)
-        for k, vecs, d in zip(idx, _null_bases(stack, pivots, ctx.p), det):
-            b = tuple(ctx.encode(v) for v in vecs)
-            out[k] = NearBentCertificate(len(b), b, b[0] if len(b) == 1 else None,
-                                         eta(ctx.p, int(d)) if len(b) <= 1 else None)
+        p, n = ctx.p, ctx.n
+        red, pivots, det = _rref_stack(mats, p)
+        dims = n - pivots.sum(axis=1)
+        # the pivot rows sit on top in column order, so the n - 1 pivot
+        # columns of an s = 1 row take its first n - 1 rows in order
+        one = np.flatnonzero(dims == 1)
+        free = (~pivots[one]).argmax(axis=1)
+        vec = np.zeros((one.size, n), dtype=np.int64)
+        vec[pivots[one]] = (-red[one, : n - 1, free] % p).ravel()
+        vec[np.arange(one.size), free] = 1
+        beta = np.zeros(len(idx), dtype=np.int64)
+        beta[one] = vec @ ctx.index_weights
+        for k, s, b, d in zip(idx, dims.tolist(), beta.tolist(), det.tolist()):
+            out[k] = NearBentCertificate(s, b if s == 1 else None,
+                                         eta(p, d) if s <= 1 else None)
     return out
 
 

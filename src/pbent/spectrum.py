@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycInt, ValueShape, match_shape
-from .gfpn import FieldCtx, digit_array, field_to_json, linear_index_map, make_field
+from .gfpn import FieldCtx, digit_array, field_from_json, field_to_json, linear_index_map
+from .gfpn import read_field
 
 
 class ShapeMismatch(RuntimeError):
@@ -109,13 +110,13 @@ class PFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PFunction":
-        kind = obj.get("domain_kind", "field")
-        dim = int(obj["dim"])
+        kind = read_field(obj, "domain_kind", str, "field")
+        dim = read_field(obj, "dim")
         n = dim - 1 if kind == "product" else dim
-        if int(obj.get("n", n)) != n:
+        if read_field(obj, "n", int, n) != n:
             raise ValueError("n is inconsistent with dim and domain_kind")
-        ctx = make_field(int(obj["p"]), n, obj.get("modulus"))
-        return cls(ctx, obj["table"], kind)
+        ctx = field_from_json(dict(obj, n=n))
+        return read_field(obj, "table", lambda table: cls(ctx, table, kind))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .quadratic import (
     certificates,
     circulant_delta,
     form_matrices,
-    kernel_dims,
 )
 from .spectrum import (
     PFunction,
@@ -296,7 +295,7 @@ def _scaling_pairs(rng: random.Random) -> list:
                 for _ in range(rng.choice((1, 2)))
             )
             chunk.append(QuadraticSpec(ctx, terms))
-        near_bent = [q for q, s in zip(chunk, kernel_dims(chunk)) if s == 1]
+        near_bent = [q for q, c in zip(chunk, certificates(chunk)) if c.s == 1]
         pairs += [(q, rng.randrange(1, q.ctx.p)) for q in near_bent[: 100 - len(pairs)]]
     return pairs
 

@@ -19,6 +19,7 @@ from pbent.gfpn import (
     _pmod,
     _pmul,
     _ppowmod,
+    _rref_stack,
     _trim,
     invert_matrix,
     linear_index_map,
@@ -256,6 +257,30 @@ def linmap_matrix_per_element(ctx: FieldCtx, coeffs) -> np.ndarray:
     return m
 
 
+def kernel(mat: np.ndarray, p: int) -> list:
+    """Deterministic basis of the null space of mat over F_p, or the list of
+    bases of an (N, rows, cols) stack from one elimination over the stack.
+
+    One basis vector per free column, in increasing column order, with a 1 in
+    the free position.
+    """
+    m = np.array(mat, dtype=np.int64) % p
+    bases = _null_bases(*_rref_stack(m.reshape((-1,) + m.shape[-2:]), p)[:2], p)
+    return bases[0] if m.ndim == 2 else bases
+
+
+def _null_bases(stack: np.ndarray, pivots: np.ndarray, p: int) -> list:
+    """Kernel bases of a stack that _rref_stack reduced, from its pivot masks."""
+    bases = []
+    for red, piv in zip(stack, pivots):
+        cols, free = np.flatnonzero(piv), np.flatnonzero(~piv)
+        basis = np.zeros((free.size, piv.size), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, cols] = -red[: cols.size, free].T % p
+        bases.append(list(basis))
+    return bases
+
+
 def rref_per_row(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns of one matrix, row by row."""
     m = np.array(mat, dtype=np.int64) % p
@@ -404,7 +429,19 @@ def certificate_per_spec(spec) -> NearBentCertificate:
         basis.append(ctx.encode(v))
     beta = min(kernel_elements_loop(ctx, basis) - {0}) if len(basis) == 1 else None
     e = delta_eta_of_matrix(form_matrix_per_term(spec), p) if len(basis) <= 1 else None
-    return NearBentCertificate(len(basis), tuple(basis), beta, e)
+    return NearBentCertificate(len(basis), beta, e)
+
+
+def polarization_kernel(ctx: FieldCtx, f) -> frozenset:
+    """Every z with f(y + z) - f(y) - f(z) + f(0) = 0 for all y, by brute force
+    over the value table f; the polarization is bilinear, so the basis
+    y = x^j suffice."""
+    p, n = ctx.p, ctx.n
+    f = np.asarray(f)
+    z, digits = np.arange(ctx.size), ctx.digits
+    polar = [f[np.where(digits[:, j] < p - 1, z + p ** j, z - (p - 1) * p ** j)]
+             - f[p ** j] - f + f[0] for j in range(n)]
+    return frozenset(np.flatnonzero(np.all(np.array(polar) % p == 0, axis=0)).tolist())
 
 
 # ---------------------------------------------------------------------------

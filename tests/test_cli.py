@@ -282,6 +282,49 @@ def test_scan_rejects_bad_templates(tmp_path, capsys):
     assert rc == 2 and "exactly 3" in err
 
 
+GLUED = dict(SCAN_TEMPLATE, scalars=[1, 1, 1])
+
+
+@pytest.mark.parametrize("obj, field, commands", [
+    ({k: v for k, v in GLUED.items() if k != "scalars"}, "scalars", ("analyze", "construct")),
+    (dict(GLUED, components=[{"quad_terms": [{"i": 2}]}] * 3), "a_index",
+     ("analyze", "construct", "scan")),
+    ({"p": 3, "n": 4, "quad_terms": [{"i": 2}]}, "a_index", ("analyze",)),
+    (dict(GLUED, components=5), "components", ("analyze", "construct", "scan")),
+    (dict(GLUED, components=[{"quad_terms": [[1, 2]]}] * 3), "quad_terms",
+     ("analyze", "construct", "scan")),
+    ({"p": 3, "n": 4, "quad_terms": [[1, 2], [1, 1]]}, "quad_terms", ("analyze",)),
+    (dict(GLUED, modulus=5), "modulus", ("analyze", "construct", "scan")),
+    ({"p": 3, "dim": 2, "table": [0] * 9, "domain_kind": "field", "n": [2]}, "'n'",
+     ("analyze",)),
+], ids=["no-scalars", "glued-term-without-a_index", "term-without-a_index", "components-int",
+        "glued-quad_terms-lists", "quad_terms-lists", "modulus-int", "table-n-list"])
+def test_malformed_fields_exit_2_and_name_the_field(tmp_path, capsys, obj, field, commands):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(obj))
+    for command in commands:
+        rc, out, err = run(capsys, [command, str(src)])
+        assert (rc, out) == (2, ""), (command, err)
+        assert err.startswith("error: ") and field in err, (command, err)
+
+
+def test_type_error_after_reading_exits_3(tmp_path, capsys, monkeypatch):
+    # only reading the input is input validation: a fault in certification
+    # is internal, whatever its exception type
+    from pbent import construct
+
+    def broken(_specs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(construct, "certificates", broken)
+    src = tmp_path / "glued.json"
+    src.write_text(json.dumps(GLUED))
+    for command in ("analyze", "construct", "scan"):
+        rc, out, err = run(capsys, [command, str(src)])
+        assert (rc, out) == (3, "")
+        assert err == "internal error: TypeError: unsupported operand\n"
+
+
 def test_scan_with_too_many_scalar_tuples_exits_2_at_once(tmp_path, capsys, monkeypatch):
     # Tr(x^(11^2 + 1) - x^2) on F_{11^3} is near-bent, but its scan would
     # sweep 10^11 scalar tuples

@@ -14,7 +14,6 @@ from pbent.gfpn import (
     field_from_json,
     field_to_json,
     invert_matrix,
-    kernel,
     linear_index_map,
     linmap_matrix,
     make_field,
@@ -26,6 +25,7 @@ from pbent.gfpn import _is_irreducible, _rref_stack
 
 from oracles import (
     frobenius_table,
+    kernel,
     kernel_elements_loop,
     linmap_matrix_per_element,
     monic_polynomials,

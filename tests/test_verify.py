@@ -59,8 +59,8 @@ def test_scaling_law_draws_keep_their_coverage(monkeypatch):
     # criterion 9 ranks a whole chunk of draws before it draws any c, so it
     # checks other specs than the per-draw loop it replaced; from the same
     # rng state that loop still draws its frozen 100 pairs and the law holds
-    # on them, and the chunk's stacked kernel dimensions agree with one
-    # certificate per spec up to the 100th near-bent draw
+    # on them, and the kernel dimensions of the chunk's stacked certificates
+    # agree with one certificate per spec up to the 100th near-bent draw
     states, checked, ranked = [], [], []
 
     def recording(rng):
@@ -68,14 +68,15 @@ def test_scaling_law_draws_keep_their_coverage(monkeypatch):
         checked.extend(real(rng))
         return checked
 
-    def ranking(chunk):
-        dims = real_dims(chunk)
-        ranked.extend(zip(chunk, dims))
-        return dims
+    def ranking(specs):
+        certs = real_certs(specs)
+        if len(specs) == verify._SCALING_CHUNK:
+            ranked.extend((q, c.s) for q, c in zip(specs, certs))
+        return certs
 
-    real, real_dims = verify._scaling_pairs, verify.kernel_dims
+    real, real_certs = verify._scaling_pairs, verify.certificates
     monkeypatch.setattr(verify, "_scaling_pairs", recording)
-    monkeypatch.setattr(verify, "kernel_dims", ranking)
+    monkeypatch.setattr(verify, "certificates", ranking)
     passed, details = verify._criterion_9()
     assert passed and details["scaling_specs"] == len(checked) == 100
 
