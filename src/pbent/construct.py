@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, field_from_json, field_to_json, invert_matrix, make_field, read_field
-from .gfpn import solve_trace_equation
+from .gfpn import FieldCtx, exact_ints, field_from_json, field_to_json, invert_matrix, make_field
+from .gfpn import read_field, solve_trace_equation
 from .quadratic import QuadraticSpec, binomial_spec, certificate, certificates
 from .spectrum import PFunction, analyze, walsh_full
 
@@ -74,12 +74,8 @@ class GluedSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "GluedSpec":
         comps = templates_from_json(obj)
-        scalars = read_field(obj, "scalars", _ints)
-        return arrange(comps, scalars, read_field(obj, "b_indices", _ints, None))
-
-
-def _ints(values) -> tuple:
-    return tuple(int(v) for v in values)
+        scalars = read_field(obj, "scalars", exact_ints)
+        return arrange(comps, scalars, read_field(obj, "b_indices", exact_ints, None))
 
 
 def templates_from_json(obj: dict) -> tuple:

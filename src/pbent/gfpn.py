@@ -503,17 +503,31 @@ def field_to_json(ctx: FieldCtx) -> dict:
 def field_from_json(obj: dict) -> FieldCtx:
     """The field of a JSON object: its p, n and optional modulus."""
     return make_field(read_field(obj, "p"), read_field(obj, "n"),
-                      read_field(obj, "modulus", tuple, None))
+                      read_field(obj, "modulus", exact_ints, None))
+
+
+def exact_int(value) -> int:
+    """value as an int if it is an integer; a float, bool or string is a
+    TypeError, so 3.7 is not read as 3 nor "3" as 3."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def exact_ints(values) -> tuple:
+    """Every entry of a JSON list through exact_int."""
+    return tuple(exact_int(v) for v in values)
 
 
 _REQUIRED = object()
 
 
-def read_field(obj: dict, key: str, convert=int, default=_REQUIRED):
+def read_field(obj: dict, key: str, convert=exact_int, default=_REQUIRED):
     """convert(obj[key]), or default where the field is absent or null and a
     default is given: the one reader of JSON from outside the program. A
     missing or ill-typed field, or a missing or ill-typed entry within it, is
-    a ValueError that names the field."""
+    a ValueError that names the field; by default the field must be an exact
+    integer."""
     try:
         if default is not _REQUIRED and obj.get(key) is None:
             return default

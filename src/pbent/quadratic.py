@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclotomic import eta
 from .gfpn import FieldCtx, _rref_stack, field_from_json, field_to_json, linmap_matrix, make_field
-from .gfpn import read_field
+from .gfpn import exact_ints, read_field
 from .spectrum import PFunction
 
 
@@ -110,9 +110,9 @@ class QuadraticSpec:
     def from_json(cls, obj: dict, ctx: FieldCtx | None = None) -> "QuadraticSpec":
         ctx = field_from_json(obj) if ctx is None else ctx
         terms = read_field(obj, "quad_terms",
-                           lambda ts: tuple((int(t["a_index"]), int(t["i"])) for t in ts), ())
-        return cls(ctx, terms, read_field(obj, "linear_index", int, 0),
-                   read_field(obj, "constant", int, 0))
+                           lambda ts: tuple(exact_ints((t["a_index"], t["i"])) for t in ts), ())
+        return cls(ctx, terms, read_field(obj, "linear_index", default=0),
+                   read_field(obj, "constant", default=0))
 
 
 def form_matrices(ctx: FieldCtx, rows) -> np.ndarray:

@@ -113,7 +113,7 @@ class PFunction:
         kind = read_field(obj, "domain_kind", str, "field")
         dim = read_field(obj, "dim")
         n = dim - 1 if kind == "product" else dim
-        if read_field(obj, "n", int, n) != n:
+        if read_field(obj, "n", default=n) != n:
             raise ValueError("n is inconsistent with dim and domain_kind")
         ctx = field_from_json(dict(obj, n=n))
         return read_field(obj, "table", lambda table: cls(ctx, table, kind))
@@ -175,11 +175,12 @@ class WalshSpectrum:
 
 def check_transform_size(p: int, dim: int) -> None:
     """Reject p^dim points before any allocation: counts and sums stay in int64, and
-    the int64 table plus two (p^dim, p) pass arrays, or one beside the int64 counts
-    (12 bytes per entry in float32, 16 in float64 above 2^24 points), fit in 4 GiB."""
+    the int64 table plus the transform's (p^dim, p) arrays fit in 4 GiB. In float32
+    the passes run inside the int64 counts (8 bytes per entry); in float64, above
+    2^24 points, one float64 cube sits beside them (16 bytes per entry)."""
     if p ** (2 * dim + 1) >= 2 ** 62:
         raise ValueError(f"domain of {p}^{dim} points too large for the exact int64 transform")
-    if p ** dim * (p * (12 if p ** dim <= 2 ** 24 else 16) + 8) > 2 ** 32:
+    if p ** dim * (p * (8 if p ** dim <= 2 ** 24 else 16) + 8) > 2 ** 32:
         raise ValueError(f"domain of {p}^{dim} points needs more than the 4 GiB transform limit")
 
 
@@ -195,8 +196,10 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     and appends j as the lowest digits (Stockham order); row b then counts
     the y with h(y) - b.y = t. Every entry and partial sum is a count of at
     most p^dim points, so BLAS runs the passes exactly in float32 up to 2^24
-    points and in float64 above. Checked against walsh_naive_full in the
-    tests; Parseval runs on every call.
+    points and in float64 above. The float32 passes run inside the memory of
+    the int64 counts they produce, so beside the table the transform holds
+    8 bytes per count entry (16 in float64). Checked against walsh_naive_full
+    in the tests; Parseval runs on every call.
     """
     check_transform_size(f.p, f.dim)
     dtype = np.float32 if f.size <= 2 ** 24 else np.float64
@@ -206,21 +209,41 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
 
 
 def _transform(f: PFunction, dtype) -> np.ndarray:
-    """Canonical int64 count rows of walsh_full, with the passes in dtype."""
-    p, m = f.p, f.dim
+    """Canonical int64 count rows of walsh_full, with the passes in dtype.
+
+    The counts are allocated once. In float32 their block holds both pass
+    arrays, buf in its lower half and cube in its upper; in float64 buf is the
+    block itself and cube a separate array. The canonical rows are written
+    front to back in chunks [lo, hi) with 2 hi <= size + lo, so no write lands
+    on an unread cube row. A chunk has at least 4096 rows; where that makes it
+    overlap its own cube rows, numpy buffers them before writing. Each pass
+    matrix is built from the (p^d, p^d) digit products k.j, so no temporary
+    is larger than the matrix itself.
+    """
+    p, m, size = f.p, f.dim, f.size
     most = max(d for d in (1, 2, 3) if d == 1 or p ** (d + 1) <= 81)
-    cube = np.zeros((f.size, p), dtype=dtype)
-    cube[linear_index_map(f.gram(), p), f.table] = 1
-    buf = np.empty_like(cube)
+    index = linear_index_map(f.gram(), p)
+    counts = np.zeros((size, p), dtype=np.int64)
+    if dtype == np.float64:
+        buf, cube = counts.view(dtype), np.zeros((size, p), dtype=dtype)
+    else:
+        buf, cube = counts.reshape(-1).view(dtype).reshape(2, size, p)
+    cube[index, f.table] = 1
+    del index
     for done in range(0, m, most):
         d = min(most, m - done)
-        k, s, j, t = np.split(np.indices((p,) * (2 * d + 2)), [d, d + 1, 2 * d + 1])
-        mix = ((s - t - (k * j).sum(axis=0)) % p == 0).reshape(p ** (d + 1), -1).astype(dtype)
+        digits = digit_array(p, d)
+        s_t = np.subtract.outer(np.arange(p), np.arange(p))
+        k_j = digits @ digits.T
+        mix = ((s_t[None, :, None, :] - k_j[:, None, :, None]) % p == 0).astype(dtype)
+        mix = mix.reshape(p ** (d + 1), -1)
         np.copyto(buf.reshape(-1, p ** d, p), cube.reshape(p ** d, -1, p).transpose(1, 0, 2))
         np.matmul(buf.reshape(-1, len(mix)), mix, out=cube.reshape(-1, len(mix)))
-    del buf
-    counts = np.empty(cube.shape, dtype=np.int64)
-    np.subtract(cube, cube[:, -1:], out=counts, casting="unsafe")
+    lo = 0
+    while lo < size:
+        hi = min(size, max(lo + 4096, (size + lo) // 2))
+        np.subtract(cube[lo:hi], cube[lo:hi, -1:], out=counts[lo:hi], casting="unsafe")
+        lo = hi
     return counts
 
 
@@ -284,9 +307,10 @@ def _classify_rows(p: int, dim: int, rows: np.ndarray, mag: int | None = None):
     shapes[k] is the shape of the k-th distinct row in order of first
     occurrence (None for the zero row), and labels[i] = k for every row i
     equal to it. Each pass of the peel loop takes the first unlabelled row,
-    computes its |w|^2 and labels every row equal to it. Unless given, the
-    first distinct row fixes the magnitude exponent mag: dim (bent) if its
-    |w|^2 is p^dim, else dim + 1 (near-bent, the only kind with zero rows).
+    computes its |w|^2 and labels every row equal to it, compared column by
+    column. Unless given, the first distinct row fixes the magnitude exponent
+    mag: dim (bent) if its |w|^2 is p^dim, else dim + 1 (near-bent, the only
+    kind with zero rows).
     A zero row at mag = dim, or |w|^2 other than p^mag, raises NotBent; a
     row of norm p^mag that matches no shape raises ShapeMismatch. So the
     loop runs at most 2p + 2 times, and once on a random table.
@@ -309,7 +333,10 @@ def _classify_rows(p: int, dim: int, rows: np.ndarray, mag: int | None = None):
                 f"coefficient {row.tolist()} has no admissible shape at "
                 f"magnitude exponent {mag}"
             )
-        labels[(rows == row).all(axis=1)] = len(shapes)
+        same = rows[:, 0] == row[0]
+        for column, value in zip(rows.T[1:], row[1:]):
+            same &= column == value
+        labels[same] = len(shapes)
         shapes.append(shape)
         first = int(labels.argmin()) if labels.min() < 0 else -1
     return mag, shapes, labels
