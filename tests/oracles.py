@@ -207,6 +207,18 @@ def lagrange_glue_reference(spec: GluedSpec) -> np.ndarray:
     return out
 
 
+def glued_spectrum_from_components(spec: GluedSpec) -> np.ndarray:
+    """Canonical count rows of the glueing's spectrum from its p component
+    spectra: W_F(a, z) = sum_k e^(-zk) W_{f_k}(a), since F(x, k) = f_k(x).
+    Multiplying a count row by e^m rotates it by m places; row a + p^n z
+    holds W_F(a, z), as in the product domain's index order."""
+    p = spec.ctx.p
+    comps = [walsh_full(g.to_table()).counts for g in spec.realized]
+    out = np.concatenate([sum(np.roll(c, -z * k % p, axis=1) for k, c in enumerate(comps))
+                          for z in range(p)])
+    return out - out[:, -1:]
+
+
 def support_partition_check(spec: GluedSpec) -> bool:
     """The component Walsh supports must be pairwise disjoint and exhaustive."""
     masks = []

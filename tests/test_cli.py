@@ -308,6 +308,29 @@ def test_malformed_fields_exit_2_and_name_the_field(tmp_path, capsys, obj, field
         assert err.startswith("error: ") and field in err, (command, err)
 
 
+QUADRATIC = {"p": 3, "n": 2, "quad_terms": [{"a_index": 1, "i": 0}]}
+
+
+@pytest.mark.parametrize("obj, field, commands", [
+    (dict(QUADRATIC, p=3.7), "'p'", ("analyze",)),
+    (dict(QUADRATIC, p="3"), "'p'", ("analyze",)),
+    (dict(QUADRATIC, n=True), "'n'", ("analyze",)),
+    (dict(QUADRATIC, quad_terms=[{"a_index": 1.9, "i": 0}]), "'quad_terms'", ("analyze",)),
+    (dict(GLUED, scalars=[1, 1.5, 1]), "'scalars'", ("analyze", "construct")),
+    (dict(GLUED, b_indices=[0, "1", 2]), "'b_indices'", ("analyze", "construct")),
+    (dict(GLUED, modulus=[2, 0, 0, 1.0, 1]), "'modulus'", ("analyze", "construct", "scan")),
+], ids=["p-float", "p-string", "n-bool", "a_index-float", "scalars-float",
+        "b_indices-string", "modulus-float"])
+def test_numbers_that_are_not_integers_exit_2(tmp_path, capsys, obj, field, commands):
+    # a float is not truncated and a numeric string is not parsed
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(obj))
+    for command in commands:
+        rc, out, err = run(capsys, [command, str(src)])
+        assert (rc, out) == (2, ""), (command, err)
+        assert field in err and "expected an integer" in err, (command, err)
+
+
 def test_type_error_after_reading_exits_3(tmp_path, capsys, monkeypatch):
     # only reading the input is input validation: a fault in certification
     # is internal, whatever its exception type

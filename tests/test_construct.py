@@ -24,6 +24,7 @@ from pbent.spectrum import PFunction, analyze, walsh_full
 from oracles import (
     anf_tensordot,
     arrange_per_tuple,
+    glued_spectrum_from_components,
     lagrange_glue_reference,
     pairing_vector,
     support_partition_check,
@@ -103,6 +104,27 @@ def test_lagrange_indicator_form_agrees():
     g = binomial_spec(ctx, 2, 1, "plus")
     gs4 = arrange((g, g, g.scale(2)), (1, 2, 1))
     assert np.array_equal(glue(gs4).table, lagrange_glue_reference(gs4))
+
+
+def test_glued_spectrum_is_the_sum_of_rotated_component_spectra():
+    # a check of glue plus walsh_full that never transforms the product
+    # domain: the worked examples, then seeded scalar tuples on each
+    # near-bent binomial template over F_{3^4}, F_{5^3} and F_{7^2}, its
+    # components given seeded linear parts
+    specs = [build_example(eid) for eid in range(2, 7)]
+    rng = np.random.default_rng(61)
+    for p, n in ((3, 4), (5, 3), (7, 2)):
+        ctx = make_field(p, n)
+        temps = [binomial_spec(ctx, r, t, v) for r in range(1, n) for t in range(r)
+                 for v in ("minus", "plus")]
+        for g in (g for g, cert in zip(temps, certificates(temps)) if cert.s == 1):
+            for _ in range(2):
+                comps = [g.with_linear(int(b)) for b in rng.integers(ctx.size, size=p)]
+                specs.append(arrange(comps, rng.integers(1, p, size=p).tolist()))
+    assert {gs.ctx.p for gs in specs} == {3, 5, 7}
+    for gs in specs:
+        counts = walsh_full(glue(gs)).counts
+        assert np.array_equal(glued_spectrum_from_components(gs), counts), gs.scalars
 
 
 def test_component_supports_partition_the_field():

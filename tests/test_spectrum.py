@@ -170,6 +170,29 @@ def test_size_guard_fires_before_any_allocation():
             walsh_full(SimpleNamespace(p=p, dim=dim + 1))
 
 
+def test_size_guard_counts_eight_bytes_per_float32_entry():
+    # 53^4 = 7,890,481 points run in float32 inside the int64 counts:
+    # 53 * 8 + 8 = 432 bytes a point, 3.41 GB
+    check_transform_size(53, 4)
+
+
+@pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
+def test_walsh_full_peak_memory_stays_near_the_counts(p, n):
+    # the passes run inside the int64 counts; beside them only the index map
+    # and its digit planes are ever traced (1.16x and 1.33x the counts)
+    import tracemalloc
+
+    f = _random_field_function(make_field(p, n), np.random.default_rng([47, p]))
+    f.gram()  # the field's Gram matrix is cached outside the traced call
+    tracemalloc.start()
+    try:
+        spec = walsh_full(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * spec.counts.nbytes, peak / spec.counts.nbytes
+
+
 def test_naive_full_is_a_small_domain_oracle():
     ctx = make_field(3, 8)
     f = PFunction.from_field_table(ctx, np.zeros(ctx.size, dtype=int))
