@@ -10,13 +10,14 @@ F_p coordinate; coefficients are exact elements of Z[e].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import CycInt, ValueShape, match_shape
 from .gfpn import FieldCtx, digit_array, field_from_json, field_to_json, linear_index_map
-from .gfpn import read_field
+from .gfpn import exact_ints, read_field
 
 
 class ShapeMismatch(RuntimeError):
@@ -116,7 +117,7 @@ class PFunction:
         if read_field(obj, "n", default=n) != n:
             raise ValueError("n is inconsistent with dim and domain_kind")
         ctx = field_from_json(dict(obj, n=n))
-        return read_field(obj, "table", lambda table: cls(ctx, table, kind))
+        return read_field(obj, "table", lambda table: cls(ctx, exact_ints(table), kind))
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +174,34 @@ class WalshSpectrum:
         return int(mask.sum())
 
 
+def _pass_dtype(size: int):
+    """float32 while every partial sum of a pass is exact in it. A canonical
+    entry is a difference of two counts, so a partial sum stays within
+    2 p^dim in magnitude: float32 up to 2^23 points, float64 above."""
+    return np.float32 if 2 * size <= 2 ** 24 else np.float64
+
+
+def _pass_digits(p: int) -> int:
+    """Digits per pass: as many as keep the first pass matrix within 81 rows, at least one."""
+    return max(d for d in (1, 2, 3) if d == 1 or p ** (d + 1) <= 81)
+
+
+def _transform_bytes(p: int, dim: int) -> int:
+    """Bytes of the transform of p^dim points at its peak: the int64 table, the
+    int64 counts with the float32 passes inside them (8 bytes per count entry;
+    in float64 a separate cube makes it 16), and the largest pass matrix,
+    counted twice to cover the index arrays of its build."""
+    size, d = p ** dim, min(_pass_digits(p), dim)
+    item = np.dtype(_pass_dtype(size)).itemsize
+    return size * (2 * item * p + 8) + 2 * p ** (2 * d + 1) * (p - 1) * item
+
+
 def check_transform_size(p: int, dim: int) -> None:
-    """Reject p^dim points before any allocation: counts and sums stay in int64, and
-    the int64 table plus the transform's (p^dim, p) arrays fit in 4 GiB. In float32
-    the passes run inside the int64 counts (8 bytes per entry); in float64, above
-    2^24 points, one float64 cube sits beside them (16 bytes per entry)."""
+    """Reject p^dim points before any allocation: counts and sums stay in int64,
+    and the table, counts and pass matrix (_transform_bytes) fit in 4 GiB."""
     if p ** (2 * dim + 1) >= 2 ** 62:
         raise ValueError(f"domain of {p}^{dim} points too large for the exact int64 transform")
-    if p ** dim * (p * (8 if p ** dim <= 2 ** 24 else 16) + 8) > 2 ** 32:
+    if _transform_bytes(p, dim) > 2 ** 32:
         raise ValueError(f"domain of {p}^{dim} points needs more than the 4 GiB transform limit")
 
 
@@ -191,58 +212,89 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     W(b) = sum_y e^(h(y) - b . y) for h(G x) = f(x): the re-index is done on
     the input, where row G x (gfpn.linear_index_map) of a (p^dim, p) count
     array starts as the unit vector at f(x). Each pass multiplies (the d
-    leading digits k, count s) by the 0/1 matrix [s = t + j.k mod p] with
-    rows (k, s) and columns (j, t), d as large as keeps it within 81 rows,
-    and appends j as the lowest digits (Stockham order); row b then counts
-    the y with h(y) - b.y = t. Every entry and partial sum is a count of at
-    most p^dim points, so BLAS runs the passes exactly in float32 up to 2^24
-    points and in float64 above. The float32 passes run inside the memory of
-    the int64 counts they produce, so beside the table the transform holds
-    8 bytes per count entry (16 in float64). Checked against walsh_naive_full
-    in the tests; Parseval runs on every call.
+    leading digits k, entry s) by the matrix of e^(-j.k) with rows (k, s) and
+    columns (j, t), d as large as keeps it within 81 rows, and appends j as
+    the lowest digits (Stockham order); row b then counts the y with
+    h(y) - b.y = t. The passes work on canonical rows, e^(p-1) written as
+    -(1 + ... + e^(p-2)), so after the first one only p - 1 columns are
+    carried. A partial sum is at most 2 p^dim in magnitude, so BLAS runs the
+    passes exactly in float32 up to 2^23 points and in float64 above. The
+    float32 passes run inside the memory of the int64 counts they produce, so
+    beside the table the transform holds 8 bytes per count entry (16 in
+    float64) and its pass matrix. Checked against walsh_naive_full in the
+    tests; Parseval runs on every call.
     """
     check_transform_size(f.p, f.dim)
-    dtype = np.float32 if f.size <= 2 ** 24 else np.float64
-    spec = WalshSpectrum(f.p, f.dim, _transform(f, dtype))
+    spec = WalshSpectrum(f.p, f.dim, _transform(f, _pass_dtype(f.size)))
     _check_parseval(spec)
     return spec
+
+
+def _build_pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
+    """Read-only pass matrix for input rows s < width and canonical output
+    columns t < p - 1: row (k, s) has 1 at column (j, s - j.k) where that is
+    below p - 1, else -1 at every (j, t). Built from the (p^d, width, p^d)
+    hit columns, so no temporary is larger than the matrix itself."""
+    digits = digit_array(p, d)
+    hit = (np.arange(width)[None, :, None] - (digits @ digits.T)[:, None, :]) % p
+    hit = hit.reshape(-1)
+    mix = np.zeros((len(hit), p - 1), dtype=dtype)
+    mix[hit == p - 1] = -1
+    rows = np.flatnonzero(hit < p - 1)
+    mix[rows, hit[rows]] = 1
+    mix = mix.reshape(p ** d * width, p ** d * (p - 1))
+    mix.setflags(write=False)
+    return mix
+
+
+_cached_pass_matrix = functools.lru_cache(maxsize=None)(_build_pass_matrix)
+
+
+def _pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
+    """The pass matrix, cached up to 81 rows; larger ones (p >= 11) are built per call."""
+    if p ** d * width > 81:
+        return _build_pass_matrix(p, d, dtype, width)
+    return _cached_pass_matrix(p, d, dtype, width)
 
 
 def _transform(f: PFunction, dtype) -> np.ndarray:
     """Canonical int64 count rows of walsh_full, with the passes in dtype.
 
-    The counts are allocated once. In float32 their block holds both pass
-    arrays, buf in its lower half and cube in its upper; in float64 buf is the
-    block itself and cube a separate array. The canonical rows are written
-    front to back in chunks [lo, hi) with 2 hi <= size + lo, so no write lands
-    on an unread cube row. A chunk has at least 4096 rows; where that makes it
-    overlap its own cube rows, numpy buffers them before writing. Each pass
-    matrix is built from the (p^d, p^d) digit products k.j, so no temporary
-    is larger than the matrix itself.
+    The counts are allocated once. In float32 their block holds every pass
+    array: buf at its bottom, the p-column scatter cube in its upper half and
+    the (p - 1)-column canonical cube at its top. In float64 buf is the block
+    and the scatter cube, with the canonical cube at its top, a separate
+    array. Each pass copies its input transposed into buf, a row of entries
+    moved as one np.void element, and multiplies buf into the canonical cube. The first pass reads all p columns of the scatter; the
+    later ones read p - 1, the canonical entry at e^(p-1) being zero. The
+    canonical columns are then written front to back in chunks [lo, hi) with
+    2p hi <= size (p + 1) + (p - 1) lo, so no write lands on an unread cube
+    row, and the last column is zeroed. A chunk has at least 4096 rows; where
+    that makes it overlap its own cube rows, numpy buffers them before writing.
     """
     p, m, size = f.p, f.dim, f.size
-    most = max(d for d in (1, 2, 3) if d == 1 or p ** (d + 1) <= 81)
+    most = _pass_digits(p)
     index = linear_index_map(f.gram(), p)
     counts = np.zeros((size, p), dtype=np.int64)
-    if dtype == np.float64:
-        buf, cube = counts.view(dtype), np.zeros((size, p), dtype=dtype)
-    else:
-        buf, cube = counts.reshape(-1).view(dtype).reshape(2, size, p)
-    cube[index, f.table] = 1
+    buf = counts.reshape(-1).view(dtype)
+    cube = buf[size * p :] if dtype == np.float32 else np.zeros(size * p, dtype=dtype)
+    cube.reshape(size, p)[index, f.table] = 1
     del index
+    canon, src, width = cube[size:], cube, p
     for done in range(0, m, most):
         d = min(most, m - done)
-        digits = digit_array(p, d)
-        s_t = np.subtract.outer(np.arange(p), np.arange(p))
-        k_j = digits @ digits.T
-        mix = ((s_t[None, :, None, :] - k_j[:, None, :, None]) % p == 0).astype(dtype)
-        mix = mix.reshape(p ** (d + 1), -1)
-        np.copyto(buf.reshape(-1, p ** d, p), cube.reshape(p ** d, -1, p).transpose(1, 0, 2))
-        np.matmul(buf.reshape(-1, len(mix)), mix, out=cube.reshape(-1, len(mix)))
+        row = np.dtype((np.void, width * buf.itemsize))
+        into = buf[: size * width]
+        np.copyto(into.view(row).reshape(-1, p ** d), src.view(row).reshape(p ** d, -1).T)
+        np.matmul(into.reshape(-1, p ** d * width), _pass_matrix(p, d, dtype, width),
+                  out=canon.reshape(-1, p ** d * (p - 1)))
+        src, width = canon, p - 1
+    canon = canon.reshape(size, p - 1)
     lo = 0
     while lo < size:
-        hi = min(size, max(lo + 4096, (size + lo) // 2))
-        np.subtract(cube[lo:hi], cube[lo:hi, -1:], out=counts[lo:hi], casting="unsafe")
+        hi = min(size, max(lo + 4096, (size * (p + 1) + (p - 1) * lo) // (2 * p)))
+        np.copyto(counts[lo:hi, :-1], canon[lo:hi], casting="unsafe")
+        counts[lo:hi, -1] = 0
         lo = hi
     return counts
 

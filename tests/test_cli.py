@@ -319,8 +319,11 @@ QUADRATIC = {"p": 3, "n": 2, "quad_terms": [{"a_index": 1, "i": 0}]}
     (dict(GLUED, scalars=[1, 1.5, 1]), "'scalars'", ("analyze", "construct")),
     (dict(GLUED, b_indices=[0, "1", 2]), "'b_indices'", ("analyze", "construct")),
     (dict(GLUED, modulus=[2, 0, 0, 1.0, 1]), "'modulus'", ("analyze", "construct", "scan")),
+    ({"p": 3, "dim": 2, "table": [0.5, 1.9, "2", 0, 0, 0, 0, 0, True]}, "'table'",
+     ("analyze",)),
+    ({"p": 3, "dim": 2, "table": [0, 1, 2, 0, 0, 0, 0, 0, True]}, "'table'", ("analyze",)),
 ], ids=["p-float", "p-string", "n-bool", "a_index-float", "scalars-float",
-        "b_indices-string", "modulus-float"])
+        "b_indices-string", "modulus-float", "table-float-string-bool", "table-bool"])
 def test_numbers_that_are_not_integers_exit_2(tmp_path, capsys, obj, field, commands):
     # a float is not truncated and a numeric string is not parsed
     src = tmp_path / "bad.json"

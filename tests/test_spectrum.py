@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pbent.cyclotomic import CycInt, match_shape
-from pbent.gfpn import make_field
+from pbent.gfpn import digit_array, make_field
 from pbent.quadratic import QuadraticSpec, binomial_spec
 from pbent.spectrum import (
     PFunction,
@@ -13,6 +13,10 @@ from pbent.spectrum import (
     ShapeMismatch,
     WalshSpectrum,
     _check_parseval,
+    _pass_dtype,
+    _pass_matrix,
+    _transform,
+    _transform_bytes,
     analyze,
     b_zero_slice_multiplicities,
     check_transform_size,
@@ -143,7 +147,7 @@ def test_fast_equals_roll_transform_on_larger_domains():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_both_pass_dtypes_equal_the_roll_transform(dtype):
-    # float64 runs only above 2^24 points, so it is reached here directly
+    # float64 runs only above 2^23 points, so it is reached here directly
     from pbent.spectrum import _transform
 
     for p, n in EDGE_FIELDS:
@@ -172,8 +176,81 @@ def test_size_guard_fires_before_any_allocation():
 
 def test_size_guard_counts_eight_bytes_per_float32_entry():
     # 53^4 = 7,890,481 points run in float32 inside the int64 counts:
-    # 53 * 8 + 8 = 432 bytes a point, 3.41 GB
+    # 53 * 8 + 8 = 432 bytes a point, 3.41 GB, and 62 MB for the pass matrix
     check_transform_size(53, 4)
+
+
+def test_pass_dtype_keeps_partial_sums_of_canonical_entries_exact():
+    # a partial sum of canonical entries reaches 2 p^dim, so float32 runs up to
+    # 2^23 points; the rule is tested on sizes alone, nothing is allocated
+    for size in (3 ** 14, 53 ** 4, 2 ** 23):
+        assert _pass_dtype(size) is np.float32, size
+    for size in (2 ** 23 + 1, 5 ** 10, 3 ** 15):
+        assert _pass_dtype(size) is np.float64, size
+
+
+def test_size_guard_counts_the_pass_matrix():
+    # at dim 1 the pass matrix has p^3 (p - 1) entries, far more than the
+    # p^2 counts: at p = 181 its float32 entries alone take 4.27 GB
+    for p in (181, 1009, 23159):
+        with pytest.raises(ValueError, match="4 GiB transform limit"):
+            check_transform_size(p, 1)
+
+
+def test_size_guard_bytes_cover_the_traced_peak_on_f47():
+    import tracemalloc
+
+    f = _random_field_function(make_field(47, 1), np.random.default_rng(53))
+    f.gram()
+    tracemalloc.start()
+    try:
+        walsh_full(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 47^3 * 46 float32 pass matrix dominates the peak
+    assert 47 ** 3 * 46 * 4 < peak <= _transform_bytes(47, 1)
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 3), (5, 1), (7, 1), (11, 1)])
+def test_pass_matrix_is_the_count_matrix_in_canonical_columns(p, d):
+    # [s = t + j.k mod p] with rows (k, s) and columns (j, t), each column
+    # t < p - 1 minus the column t = p - 1 of its j, rows s < width only
+    digits = digit_array(p, d)
+    s_t = np.subtract.outer(np.arange(p), np.arange(p))
+    full = (s_t[None, :, None, :] - (digits @ digits.T)[:, None, :, None]) % p == 0
+    canon = full[..., :-1].astype(np.int64) - full[..., -1:]
+    for dtype in (np.float32, np.float64):
+        for width in (p, p - 1):
+            mix = _pass_matrix(p, d, dtype, width)
+            assert mix.dtype == dtype and not mix.flags.writeable
+            assert np.array_equal(mix, canon[:, :width].reshape(p ** d * width, -1))
+
+
+def test_pass_matrices_are_cached_up_to_81_rows():
+    assert _pass_matrix(3, 3, np.float32, 3) is _pass_matrix(3, 3, np.float32, 3)
+    assert _pass_matrix(7, 1, np.float64, 6) is _pass_matrix(7, 1, np.float64, 6)
+    # 11 * 10 rows: built per call
+    assert _pass_matrix(11, 1, np.float32, 10) is not _pass_matrix(11, 1, np.float32, 10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p, n", [(3, 5), (5, 3), (7, 2), (11, 2), (13, 2)])
+def test_constant_functions_in_both_pass_dtypes(p, n, dtype):
+    # f = c has W(0) = p^dim e^c and W(b) = 0 elsewhere. In canonical rows
+    # e^(p-1) is -(1 + ... + e^(p-2)), so f = p - 1 starts every row of the
+    # passes as all -1 and ends with row 0 at -p^dim in every column but the last
+    ctx = make_field(p, n)
+    for c in (0, p - 1):
+        for f in (PFunction.from_field_table(ctx, np.full(ctx.size, c)),
+                  PFunction.from_product_tables(ctx, [np.full(ctx.size, c)] * p)):
+            expected = np.zeros((f.size, p), dtype=np.int64)
+            if c == 0:
+                expected[0, 0] = f.size
+            else:
+                expected[0, :-1] = -f.size
+            assert np.array_equal(_transform(f, dtype), expected), (c, f.kind)
+            assert CycInt(p, expected[0]) == f.size * CycInt.root_power(p, c)
 
 
 @pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
