@@ -265,9 +265,10 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
     the (p - 1)-column canonical cube at its top. In float64 buf is the block
     and the scatter cube, with the canonical cube at its top, a separate
     array. Each pass copies its input transposed into buf, a row of entries
-    moved as one np.void element, and multiplies buf into the canonical cube. The first pass reads all p columns of the scatter; the
-    later ones read p - 1, the canonical entry at e^(p-1) being zero. The
-    canonical columns are then written front to back in chunks [lo, hi) with
+    moved as one np.void element, and multiplies buf into the canonical
+    cube. The first pass reads all p columns of the scatter; the later ones
+    read p - 1, the canonical entry at e^(p-1) being zero. The canonical
+    columns are then written front to back in chunks [lo, hi) with
     2p hi <= size (p + 1) + (p - 1) lo, so no write lands on an unread cube
     row, and the last column is zeroed. A chunk has at least 4096 rows; where
     that makes it overlap its own cube rows, numpy buffers them before writing.
