@@ -8,10 +8,11 @@ prime-subfield constants.
 
 Element arithmetic is digit vectors times n x n matrices over F_p: powers of
 the companion matrix C of the modulus (multiplication by x^k) and of the
-Frobenius matrix F (z -> z^(p^i)); the trace pairing is the matrix trace of
-C^i C^j. No operation builds a table of p^n entries except ctx.digits. Every
-int64 product-sum stays exact while p^n and n^2 (p-1)^2 are below 2^63, so
-make_field accepts exactly those fields: up to 3^39, 5^27 and 7^22.
+Frobenius matrix F (z -> z^(p^i)), built from C^p; the trace pairing is the
+matrix trace of C^i C^j, and ranks of stacked C and F test candidate moduli
+for irreducibility. No operation builds a table of p^n entries except
+ctx.digits. Every int64 product-sum stays exact while p^n and n^2 (p-1)^2 are
+below 2^63, so make_field accepts exactly those fields: up to 3^39, 5^27, 7^22.
 
 A FieldCtx is immutable after construction and safe to share; every
 operation is a pure function of its arguments. Moduli are stored constant
@@ -57,96 +58,6 @@ def _is_prime(m: int) -> bool:
         if m % d == 0:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p, coefficient lists with constant term
-# first; the zero polynomial is the empty list
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m must be monic
-    a = [v % p for v in a]
-    dm = len(m) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c:
-            for i in range(dm + 1):
-                a[k - dm + i] = (a[k - dm + i] - c * m[i]) % p
-    return _trim(a[:dm])
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _trim([v % p for v in out])
-
-
-def _monic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [(v * inv) % p for v in a]
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd; each divisor is made monic first, as _pmod requires."""
-    a = _trim([v % p for v in a])
-    b = _trim([v % p for v in b])
-    while b:
-        b = _monic(b, p)
-        a, b = b, _pmod(a, b, p)
-    return _monic(a, p)
-
-
-def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's criterion for a monic polynomial f over F_p.
-
-    Requires x^(p^n) = x mod f together with gcd(x^(p^d) - x, f) = 1 for
-    every proper divisor d of n; the gcd checks alone would wrongly accept
-    e.g. a quintic splitting into degrees 2 + 3. Each gcd is taken as soon
-    as x^(p^d) is known, so a linear factor fails after one p-th powering.
-    """
-    n = len(f) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    t = x
-    for d in range(1, n):
-        t = _ppowmod(t, p, f, p)
-        if n % d == 0 and len(_pgcd(_psub(t, x, p), f, p)) != 1:
-            return False
-    return not _psub(_ppowmod(t, p, f, p), x, p)
 
 
 def digit_array(p: int, dim: int) -> np.ndarray:
@@ -298,18 +209,15 @@ class FieldCtx:
     def _companion_powers(self) -> np.ndarray:
         """(n, n, n) stack: [k] is C^k mod p, the matrix of multiplication
         by x^k, with C the companion matrix of the modulus."""
-        p, n = self.p, self.n
-        comp = np.eye(n, k=-1, dtype=np.int64)
-        comp[:, -1] = [-c % p for c in self.modulus[:-1]]
-        return _matrix_powers(comp, p)
+        return _matrix_powers(_companions(np.array([self.modulus]), self.p)[0], self.p)
 
     @cached_property
     def _frob_powers(self) -> np.ndarray:
         """(n, n, n) stack: [i] is F^i mod p, the matrix of z -> z^(p^i);
-        column j of F is the coefficient vector of (x^j)^p."""
-        p, n = self.p, self.n
-        frob = np.array([self.vector(self.pow(p ** j, p)) for j in range(n)])
-        return _matrix_powers(frob.T, p)
+        column j of F is the coefficient vector of (x^j)^p = (x^p)^j, built
+        from C^p."""
+        comp = _companions(np.array([self.modulus]), self.p)
+        return _matrix_powers(_frobenius(comp, self.p)[0], self.p)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -340,6 +248,53 @@ def _matrix_powers(mat: np.ndarray, p: int) -> np.ndarray:
         out[k] = mat @ out[k - 1] % p
     out.setflags(write=False)
     return out
+
+
+def _companions(moduli: np.ndarray, p: int) -> np.ndarray:
+    """(B, n, n) companion matrices of a (B, n + 1) stack of monic moduli,
+    constant term first: column j of C is x^(j+1) mod f."""
+    count, n = moduli.shape[0], moduli.shape[1] - 1
+    comp = np.broadcast_to(np.eye(n, k=-1, dtype=np.int64), (count, n, n)).copy()
+    comp[:, :, -1] = -moduli[:, :-1] % p
+    return comp
+
+
+def _krylov(mat: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """(B, n, n) stack whose column j is mat^j v mod p, for a (B, n, n) stack
+    mat and a (B, n) stack v; for a companion matrix it is the matrix of
+    multiplication by v."""
+    out = np.empty(mat.shape, dtype=np.int64)
+    out[:, :, 0] = v % p
+    for j in range(1, mat.shape[-1]):
+        out[:, :, j] = (mat @ out[:, :, j - 1, None])[:, :, 0] % p
+    return out
+
+
+def _frobenius(comp: np.ndarray, p: int) -> np.ndarray:
+    """(B, n, n) Frobenius matrices of a stack of companion matrices: C^p by
+    repeated squaring, then the Krylov columns of e_0 under it, so column j
+    is x^(jp) = (x^j)^p mod f."""
+    count, n = comp.shape[:2]
+    power, base, e = np.broadcast_to(np.eye(n, dtype=np.int64), comp.shape), comp, p
+    while e:  # power = C^p, one squaring per bit
+        power, base, e = (power @ base % p if e & 1 else power), base @ base % p, e >> 1
+    e0 = np.zeros((count, n), dtype=np.int64)
+    e0[:, 0] = 1
+    return _krylov(power, e0, p)
+
+
+def _irreducible(moduli: np.ndarray, p: int) -> np.ndarray:
+    """(B,) mask of the irreducible members of a (B, n + 1) stack of monic
+    moduli, by Berlekamp's criterion (Lidl & Niederreiter, ch. 4): f is
+    irreducible iff the fixed points of z -> z^p mod f are F_p alone, rank
+    (F - I) = n - 1, and f is squarefree, that is f' is a unit mod f and its
+    multiplication matrix has rank n. One rank call covers every pair."""
+    n = moduli.shape[1] - 1
+    comp = _companions(moduli, p)
+    deriv = moduli[:, 1:] * np.arange(1, n + 1) % p
+    pairs = np.stack([_frobenius(comp, p) - np.eye(n, dtype=np.int64),
+                      _krylov(comp, deriv, p)], axis=1)
+    return np.all(rank(pairs, p) == (n - 1, n), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +407,23 @@ def solve_trace_equation(ctx: FieldCtx, beta: int, target: int) -> int:
 
 @lru_cache(maxsize=None)
 def _make_field_cached(p: int, n: int, modulus: tuple[int, ...] | None) -> FieldCtx:
-    if modulus is None:
-        for k in range(p ** n):
-            coeffs = []
-            kk = k
-            for _ in range(n):
-                coeffs.append(kk % p)
-                kk //= p
-            if n >= 2 and coeffs[0] == 0:
-                continue
-            cand = coeffs + [1]
-            if _is_irreducible(cand, p):
-                return FieldCtx(p, n, tuple(cand))
-        raise RuntimeError(f"no irreducible polynomial of degree {n} over F_{p}")
-    if not _is_irreducible(list(modulus), p):
-        raise Reducible(f"{list(modulus)} is reducible over F_{p}")
-    return FieldCtx(p, n, modulus)
+    if modulus is not None:
+        if not _irreducible(np.array([modulus]), p)[0]:
+            raise Reducible(f"{list(modulus)} is reducible over F_{p}")
+        return FieldCtx(p, n, modulus)
+    # candidates in encoding order, 2n per stack; for n >= 2 a zero constant
+    # term means the factor x
+    weights = p ** np.arange(n, dtype=np.int64)
+    for start in range(0, p ** n, 2 * n):
+        codes = np.arange(start, min(start + 2 * n, p ** n), dtype=np.int64)
+        if n >= 2:
+            codes = codes[codes % p != 0]
+        moduli = np.ones((len(codes), n + 1), dtype=np.int64)
+        moduli[:, :-1] = codes[:, None] // weights % p
+        hits = np.flatnonzero(_irreducible(moduli, p))
+        if hits.size:
+            return FieldCtx(p, n, tuple(moduli[hits[0]].tolist()))
+    raise RuntimeError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
 def make_field(p: int, n: int, modulus=None) -> FieldCtx:

@@ -303,12 +303,12 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
 def _check_parseval(spec: WalshSpectrum) -> None:
     """sum_b |W(b)|^2 = p^(2 dim): with gram = counts.T @ counts the total
     has count sum_j gram[j, j - t] at e^t. The Gram is summed exactly over
-    row chunks, in float64 (BLAS) while their sums stay below 2^53, else in
-    int64, and the chunks are added as Python ints."""
+    row chunks of at most 8192 rows, in float64 (BLAS) while their sums stay
+    below 2^53, else in int64, and the chunks are added as Python ints."""
     p, c = spec.p, spec.counts
     big = max(int(c.max()), -int(c.min()), 1) ** 2
     dtype, limit = (np.float64, 2 ** 53) if big <= 2 ** 53 else (np.int64, 2 ** 63 - 1)
-    step = min(limit // big, 1 << 16)
+    step = min(limit // big, 1 << 13)
     gram = 0
     for i in range(0, len(c), step):
         x = c[i : i + step].astype(dtype)

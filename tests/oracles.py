@@ -16,11 +16,7 @@ from pbent.construct import (
 from pbent.cyclotomic import CycInt, eta, match_shape
 from pbent.gfpn import (
     FieldCtx,
-    _pmod,
-    _pmul,
-    _ppowmod,
     _rref_stack,
-    _trim,
     invert_matrix,
     linear_index_map,
     make_field,
@@ -319,6 +315,48 @@ def rref_per_row(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 # ---------------------------------------------------------------------------
 # field arithmetic through polynomials and p^n-sized tables
+
+
+def _trim(a: list[int]) -> list[int]:
+    """a without its zero top coefficients; polynomials are coefficient
+    lists, constant term first, and the zero polynomial is the empty list."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
+    """a mod the monic polynomial m, by long division."""
+    a = [v % p for v in a]
+    dm = len(m) - 1
+    for k in range(len(a) - 1, dm - 1, -1):
+        c = a[k]
+        if c:
+            for i in range(dm + 1):
+                a[k - dm + i] = (a[k - dm + i] - c * m[i]) % p
+    return _trim(a[:dm])
+
+
+def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    result = [1]
+    base = _pmod(base, m, p)
+    while e:
+        if e & 1:
+            result = _pmod(_pmul(result, base, p), m, p)
+        base = _pmod(_pmul(base, base, p), m, p)
+        e >>= 1
+    return result
 
 
 def mul_polynomial(ctx: FieldCtx, a: int, b: int) -> int:

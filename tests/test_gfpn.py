@@ -21,7 +21,7 @@ from pbent.gfpn import (
     rref,
     solve_trace_equation,
 )
-from pbent.gfpn import _is_irreducible, _rref_stack
+from pbent.gfpn import _irreducible, _rref_stack
 
 from oracles import (
     frobenius_table,
@@ -73,8 +73,10 @@ def test_rabin_matches_brute_force_factor_search(p, max_n):
         reducible = reducible_monics(p, n)
         irreducible = [f for f in monic_polynomials(p, n) if f not in reducible]
         assert len(irreducible) == _irreducible_count(p, n)
-        for f in monic_polynomials(p, n):
-            assert _is_irreducible(list(f), p) == (f not in reducible), f
+        monics = list(monic_polynomials(p, n))
+        mask = _irreducible(np.array(monics), p)  # one stacked call per degree
+        for f, hit in zip(monics, mask):
+            assert hit == (f not in reducible), f
         if n >= 2:
             # the canonical modulus: smallest encoding with a nonzero constant
             assert make_field(p, n).modulus == next(f for f in irreducible if f[0])
@@ -131,6 +133,16 @@ def test_supported_range_is_checked_before_the_modulus_search():
         assert ctx.frobenius(a, 1) == ctx.pow(a, ctx.p)
         for b in elems:
             assert ctx.mul(a, b) == mul_polynomial(ctx, a, b)
+
+
+@pytest.mark.parametrize("p, n, modulus", [
+    (3, 39, (2, 0, 1, 2, 0, 1) + (0,) * 33 + (1,)),  # x^39 + x^5 + 2x^3 + x^2 + 2
+    (5, 27, (1, 1) + (0,) * 25 + (1,)),  # x^27 + x + 1
+    (7, 22, (4, 0, 1) + (0,) * 19 + (1,)),  # x^22 + x^2 + 4
+    (1518500213, 2, (2, 0, 1)),  # x^2 + 2: C^p squared 31 times at p near 2^30.5
+])
+def test_canonical_moduli_at_the_top_of_the_range(p, n, modulus):
+    assert make_field(p, n).modulus == modulus
 
 
 def test_largest_field_of_characteristic_3():

@@ -303,12 +303,31 @@ def test_parseval_check_sums_exactly():
 
 
 def test_parseval_check_covers_every_row_chunk():
-    ctx = make_field(3, 11)  # 3^11 rows: the Gram is summed in three chunks
+    ctx = make_field(3, 11)  # 3^11 rows: the Gram is summed in 22 chunks
     spec = walsh_full(_random_field_function(ctx, np.random.default_rng(43)))
     counts = spec.counts.copy()
     counts[-1, 0] += 1
     with pytest.raises(RuntimeError, match="Parseval"):
         _check_parseval(WalshSpectrum(3, 11, counts))
+
+
+def test_parseval_check_peak_memory_stays_below_half_the_table():
+    # two float64 chunk copies are alive at once; at 8192 rows they take
+    # 0.28x the g3_10 table (3^11 int64 values), at 65,536 rows 2.22x
+    import tracemalloc
+
+    from pbent.construct import arrange, glue
+
+    g = binomial_spec(make_field(3, 10), 2, 1, "plus")
+    f = glue(arrange((g, g, g), (1, 2, 1)))
+    spec = walsh_full(f)
+    tracemalloc.start()
+    try:
+        _check_parseval(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * f.table.nbytes, peak / f.table.nbytes
 
 
 def test_analyze_zero_function():
