@@ -70,22 +70,18 @@ def digit_array(p: int, dim: int) -> np.ndarray:
     return out
 
 
-def linear_index_map(mat: np.ndarray, p: int) -> np.ndarray:
-    """perm[d] = index of mat @ digits(d) mod p for every d < p^cols, built
-    one digit plane at a time (digit k = t adds t * mat[:, k] to the planes
-    of the lower digits), so no (p^cols, cols) digit array is made."""
+def digit_planes(mat: np.ndarray, p: int) -> np.ndarray:
+    """(rows, p^cols) planes: column d holds mat @ digits(d) mod p for every
+    d < p^cols, built one digit at a time (digit k = t adds t * mat[:, k] to
+    the columns of the lower digits), so no (p^cols, cols) digit array is made."""
     mat = np.asarray(mat, dtype=np.int64) % p
     dtype = np.min_scalar_type(2 * (p - 1))
-    planes = np.zeros((mat.shape[0], 1), dtype=dtype)
-    for col in mat.T:
-        steps = [(t * col % p).astype(dtype)[:, None] for t in range(p)]
-        planes = np.concatenate([planes + s for s in steps], axis=1)
+    steps = (mat[:, :, None] * np.arange(p) % p).astype(dtype)
+    planes = np.zeros((len(mat), 1), dtype=dtype)
+    for k in range(mat.shape[1]):
+        planes = (planes[:, None, :] + steps[:, k, :, None]).reshape(len(mat), -1)
         np.subtract(planes, p, out=planes, where=planes >= p)  # faster than % p
-    perm = np.zeros(planes.shape[1], dtype=np.intp)
-    for plane in planes[::-1]:
-        perm *= p
-        perm += plane
-    return perm
+    return planes
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +221,13 @@ class FieldCtx:
         matrix trace of C^i C^j (Lidl & Niederreiter, ch. 2)."""
         c = self._companion_powers
         g = np.einsum("iab,jba->ij", c, c) % self.p
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def gram_inverse(self) -> np.ndarray:
+        """Inverse of gram mod p: the digits of x with Tr(x^i x) = y_i are gram_inverse @ y."""
+        g = invert_matrix(self.gram, self.p)
         g.setflags(write=False)
         return g
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycInt, ValueShape, match_shape
-from .gfpn import FieldCtx, digit_array, field_from_json, field_to_json, linear_index_map
+from .gfpn import FieldCtx, digit_array, digit_planes, field_from_json, field_to_json
 from .gfpn import exact_ints, read_field
 
 
@@ -47,11 +47,13 @@ class PFunction:
         self.kind = kind
         self.p = ctx.p
         self.dim = ctx.n + (1 if kind == "product" else 0)
-        arr = np.asarray(table, dtype=np.int64) % self.p
+        arr = np.array(table, dtype=np.int64)  # a copy: the caller's array stays as it is
         if arr.shape != (self.p ** self.dim,):
             raise ValueError(
                 f"table must have length {self.p ** self.dim}, got {arr.shape}"
             )
+        if arr.min() < 0 or arr.max() >= self.p:
+            arr %= self.p
         arr.setflags(write=False)
         self.table = arr
 
@@ -90,12 +92,14 @@ class PFunction:
 
     def gram(self) -> np.ndarray:
         """Matrix of <.,.> over the base-p digit coordinates of indices."""
-        g = self.ctx.gram
+        return self._on_domain(self.ctx.gram)
+
+    def _on_domain(self, g: np.ndarray) -> np.ndarray:
+        """The field matrix g, with a 1 appended on its diagonal on a product."""
         if self.kind == "field":
             return g
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        out[: self.ctx.n, : self.ctx.n] = g
-        out[-1, -1] = 1
+        out = np.eye(self.dim, dtype=np.int64)
+        out[:-1, :-1] = g
         return out
 
     def digits(self) -> np.ndarray:
@@ -209,20 +213,20 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     """Exact spectrum via the dimension-factorized character transform.
 
     The pairing is <b, x> = b . (G x) with G its symmetric Gram matrix, so
-    W(b) = sum_y e^(h(y) - b . y) for h(G x) = f(x): the re-index is done on
-    the input, where row G x (gfpn.linear_index_map) of a (p^dim, p) count
-    array starts as the unit vector at f(x). Each pass multiplies (the d
-    leading digits k, entry s) by the matrix of e^(-j.k) with rows (k, s) and
-    columns (j, t), d as large as keeps it within 81 rows, and appends j as
-    the lowest digits (Stockham order); row b then counts the y with
-    h(y) - b.y = t. The passes work on canonical rows, e^(p-1) written as
-    -(1 + ... + e^(p-2)), so after the first one only p - 1 columns are
-    carried. A partial sum is at most 2 p^dim in magnitude, so BLAS runs the
-    passes exactly in float32 up to 2^23 points and in float64 above. The
-    float32 passes run inside the memory of the int64 counts they produce, so
-    beside the table the transform holds 8 bytes per count entry (16 in
-    float64) and its pass matrix. Checked against walsh_naive_full in the
-    tests; Parseval runs on every call.
+    W(b) = sum_y e^(h(y) - b . y) for h = f o G^-1: row y of a (p^dim, p)
+    count array starts as the unit vector at h(y), gathered from the table a
+    block of rows at a time (_start). Each pass multiplies (the d leading
+    digits k, entry s) by the matrix of e^(-j.k) with rows (k, s) and columns
+    (j, t), d as large as keeps it within 81 rows, and appends j as the lowest
+    digits (Stockham order); row b then counts the y with h(y) - b.y = t. The
+    passes work on canonical rows, e^(p-1) written as -(1 + ... + e^(p-2)),
+    so after the first one only p - 1 columns are carried. A partial sum is
+    at most 2 p^dim in magnitude, so BLAS runs the passes exactly in float32
+    up to 2^23 points and in float64 above. The float32 passes run inside the
+    memory of the int64 counts they produce, so beside the table the
+    transform holds 8 bytes per count entry (16 in float64), its pass matrix
+    and the start's copy of the table, one byte per point. Checked against
+    walsh_naive_full in the tests; Parseval runs on every call.
     """
     check_transform_size(f.p, f.dim)
     spec = WalshSpectrum(f.p, f.dim, _transform(f, _pass_dtype(f.size)))
@@ -261,12 +265,12 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
     """Canonical int64 count rows of walsh_full, with the passes in dtype.
 
     The counts are allocated once. In float32 their block holds every pass
-    array: buf at its bottom, the p-column scatter cube in its upper half and
+    array: buf at its bottom, the p-column start cube in its upper half and
     the (p - 1)-column canonical cube at its top. In float64 buf is the block
-    and the scatter cube, with the canonical cube at its top, a separate
+    and the start cube, with the canonical cube at its top, a separate
     array. Each pass copies its input transposed into buf, a row of entries
     moved as one np.void element, and multiplies buf into the canonical
-    cube. The first pass reads all p columns of the scatter; the later ones
+    cube. The first pass reads all p columns of the start; the later ones
     read p - 1, the canonical entry at e^(p-1) being zero. The canonical
     columns are then written front to back in chunks [lo, hi) with
     2p hi <= size (p + 1) + (p - 1) lo, so no write lands on an unread cube
@@ -275,12 +279,10 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
     """
     p, m, size = f.p, f.dim, f.size
     most = _pass_digits(p)
-    index = linear_index_map(f.gram(), p)
     counts = np.zeros((size, p), dtype=np.int64)
     buf = counts.reshape(-1).view(dtype)
     cube = buf[size * p :] if dtype == np.float32 else np.zeros(size * p, dtype=dtype)
-    cube.reshape(size, p)[index, f.table] = 1
-    del index
+    _start(f, cube)
     canon, src, width = cube[size:], cube, p
     for done in range(0, m, most):
         d = min(most, m - done)
@@ -298,6 +300,30 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
         counts[lo:hi, -1] = 0
         lo = hi
     return counts
+
+
+def _start(f: PFunction, cube: np.ndarray) -> None:
+    """Set row y of the zeroed flat (p^dim, p) cube to the unit vector at
+    h(y) = f(G^-1 y), gathered p^k <= 2^15 rows at a time. Over the k low and
+    m - k high digits of y, G^-1 y = A y_lo + B y_hi: the digits of A y_lo
+    are built once, those of B y_hi per block, and their sum mod p is read
+    g = k // 2 digits at a time from a (p^g, p^g) table of digit-wise sums.
+    No index array has more than p^k entries; a single block is one gather."""
+    p, m = f.p, f.dim
+    k = max(j for j in range(1, m + 1) if j == 1 or p ** j <= 2 ** 15)
+    g, ginv = max(1, k // 2), f._on_domain(f.ctx.gram_inverse)
+    table, rows = f.table.astype(np.min_scalar_type(p - 1)), p * np.arange(p ** k)
+    if k == m:
+        cube[rows + table[np.einsum("i,ij->j", p ** np.arange(m), digit_planes(ginv, p))]] = 1
+        return
+    w = p ** np.arange(g)
+    sums = np.einsum("i,ij->j", w, digit_planes(np.tile(np.eye(g), 2), p)).reshape(p ** g, -1)
+    ginv = np.pad(ginv, ((0, -m % g), (0, 0)))
+    lo, hi = (np.einsum("i,gij->gj", w, digit_planes(a, p).reshape(len(a) // g, g, -1))
+              for a in (ginv[:, :k], ginv[:, k:]))
+    for b, block in enumerate(cube.reshape(-1, p ** (k + 1))):
+        x = sum((p ** (g * j) * sums[hi[j, b]])[lo[j]] for j in range(len(lo)))
+        block[rows + table[x]] = 1
 
 
 def _check_parseval(spec: WalshSpectrum) -> None:

@@ -17,8 +17,8 @@ from pbent.cyclotomic import CycInt, eta, match_shape
 from pbent.gfpn import (
     FieldCtx,
     _rref_stack,
+    digit_planes,
     invert_matrix,
-    linear_index_map,
     make_field,
     solve_trace_equation,
 )
@@ -30,6 +30,12 @@ from pbent.spectrum import (
     _check_parseval,
     walsh_full,
 )
+
+
+def linear_index_map(mat: np.ndarray, p: int) -> np.ndarray:
+    """perm[d] = index of mat @ digits(d) mod p for every d < p^cols."""
+    planes = digit_planes(mat, p)
+    return p ** np.arange(len(planes)) @ planes
 
 
 def monic_polynomials(p: int, n: int):

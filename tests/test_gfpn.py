@@ -14,7 +14,6 @@ from pbent.gfpn import (
     field_from_json,
     field_to_json,
     invert_matrix,
-    linear_index_map,
     linmap_matrix,
     make_field,
     rank,
@@ -27,6 +26,7 @@ from oracles import (
     frobenius_table,
     kernel,
     kernel_elements_loop,
+    linear_index_map,
     linmap_matrix_per_element,
     monic_polynomials,
     mul_polynomial,

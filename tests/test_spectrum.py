@@ -15,6 +15,7 @@ from pbent.spectrum import (
     _check_parseval,
     _pass_dtype,
     _pass_matrix,
+    _start,
     _transform,
     _transform_bytes,
     analyze,
@@ -48,6 +49,21 @@ def test_table_validation():
         PFunction(ctx, [0] * 9, "ring")  # unknown kind
     with pytest.raises(ValueError):
         PFunction.from_product_tables(ctx, [[0] * 9, [0] * 9])  # needs p tables
+
+
+def test_table_is_reduced_mod_p_into_a_copy():
+    ctx = make_field(3, 2)
+    values = np.array([-4, -1, 0, 1, 2, 3, 5, 7, 300], dtype=np.int64)
+    f = PFunction.from_field_table(ctx, values)
+    assert f.table.tolist() == [2, 2, 0, 1, 2, 0, 2, 1, 0]
+    assert not f.table.flags.writeable
+    # the caller's array is neither reduced, nor frozen, nor aliased
+    assert values.tolist() == [-4, -1, 0, 1, 2, 3, 5, 7, 300]
+    assert values.flags.writeable
+    in_range = np.array([0, 1, 2] * 3, dtype=np.int64)
+    g = PFunction.from_field_table(ctx, in_range)
+    assert g.table.tolist() == in_range.tolist() and not np.shares_memory(g.table, in_range)
+    assert in_range.flags.writeable
 
 
 def test_product_stacking_order():
@@ -145,20 +161,28 @@ def test_fast_equals_roll_transform_on_larger_domains():
         assert np.array_equal(walsh_full(f).counts, walsh_full_rolls(f).counts)
 
 
+# domains of several 2^15-row start blocks at p = 3 and 7, and of one block at p = 11 and 13
+START_DOMAINS = [(3, 10, "field"), (3, 9, "product"), (7, 6, "field"), (7, 5, "product"),
+                 (11, 3, "field"), (11, 3, "product"), (13, 3, "field"), (13, 3, "product")]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_both_pass_dtypes_equal_the_roll_transform(dtype):
     # float64 runs only above 2^23 points, so it is reached here directly
-    from pbent.spectrum import _transform
-
+    funcs = []
     for p, n in EDGE_FIELDS:
         ctx = make_field(p, n)
         rng = np.random.default_rng([41, p, n])
-        field = _random_field_function(ctx, rng)
-        product = PFunction.from_product_tables(
+        funcs.append(_random_field_function(ctx, rng))
+        funcs.append(PFunction.from_product_tables(
             ctx, [rng.integers(p, size=ctx.size) for _ in range(p)]
-        )
-        for f in (field, product):
-            assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (p, n)
+        ))
+    for p, n, kind in START_DOMAINS:
+        rng = np.random.default_rng([61, p, n])
+        size = p ** (n + (kind == "product"))
+        funcs.append(PFunction(make_field(p, n), rng.integers(p, size=size), kind))
+    for f in funcs:
+        assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (f.p, f.dim)
 
 
 def test_size_guard_fires_before_any_allocation():
@@ -255,8 +279,9 @@ def test_constant_functions_in_both_pass_dtypes(p, n, dtype):
 
 @pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
 def test_walsh_full_peak_memory_stays_near_the_counts(p, n):
-    # the passes run inside the int64 counts; beside them only the index map
-    # and its digit planes are ever traced (1.16x and 1.33x the counts)
+    # the passes run inside the int64 counts; beside them the start's copy of
+    # the table and its block-sized index arrays are traced (about 1.04x and
+    # 1.08x the counts)
     import tracemalloc
 
     f = _random_field_function(make_field(p, n), np.random.default_rng([47, p]))
@@ -268,6 +293,76 @@ def test_walsh_full_peak_memory_stays_near_the_counts(p, n):
     finally:
         tracemalloc.stop()
     assert peak <= 1.4 * spec.counts.nbytes, peak / spec.counts.nbytes
+
+
+@pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
+def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
+    # no index or digit planes of p^dim entries: the counts, one byte per point
+    # of table and block-sized arrays, at most 1.15x the counts
+    import tracemalloc
+
+    f = _random_field_function(make_field(p, n), np.random.default_rng([59, p]))
+    f.ctx.gram_inverse  # cached on the field outside the traced call
+    tracemalloc.start()
+    try:
+        spec = walsh_full(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * spec.counts.nbytes, peak / spec.counts.nbytes
+
+
+@pytest.mark.parametrize("p, n, kind", [(3, 4, "product"), (5, 3, "field"), (131, 1, "product"),
+                                        (257, 1, "field")])
+def test_start_row_y_is_the_unit_vector_at_f_of_g_inverse_y(p, n, kind):
+    # values up to p - 1 = 256 need a two-byte gather at p = 257
+    f = PFunction(make_field(p, n), np.arange(p ** (n + (kind == "product"))) % p, kind)
+    x = digit_array(p, f.dim) @ f.gram().T % p  # row b: the digits of G b
+    h = np.empty(f.size, dtype=np.int64)
+    h[x @ p ** np.arange(f.dim)] = f.table  # h(G b) = f(b)
+    cube = np.zeros(f.size * p, dtype=np.float32)
+    _start(f, cube)
+    assert np.array_equal(cube.reshape(f.size, p), np.eye(p, dtype=np.float32)[h])
+
+
+def test_walsh_full_builds_no_domain_sized_index(monkeypatch):
+    """At 3^10 the start gathers 3^9 rows at a time: no linear_index_map,
+    and no digit planes of more than 3^9 columns."""
+    from pbent import spectrum
+
+    f = _random_field_function(make_field(3, 10), np.random.default_rng(67))
+    expected = walsh_full(f).counts
+    real_planes = spectrum.digit_planes
+
+    def block_planes(mat, p):
+        if p ** mat.shape[1] > 3 ** 9:
+            raise AssertionError(f"built digit planes of {p}^{mat.shape[1]} columns")
+        return real_planes(mat, p)
+
+    def no_index_map(mat, p):
+        raise AssertionError("built a domain-sized index map")
+
+    monkeypatch.setattr(spectrum, "digit_planes", block_planes)
+    monkeypatch.setattr(spectrum, "linear_index_map", no_index_map, raising=False)
+    assert np.array_equal(walsh_full(f).counts, expected)
+
+
+def test_gram_inverse_is_cached_on_the_field(monkeypatch):
+    from pbent import gfpn
+
+    ctx = make_field(5, 4)
+    inv = ctx.gram_inverse
+    assert inv is ctx.gram_inverse and not inv.flags.writeable
+    assert np.array_equal(ctx.gram @ inv % 5, np.eye(4, dtype=np.int64))
+
+    def no_inverse(mat, p):
+        raise AssertionError("inverted the Gram matrix again")
+
+    monkeypatch.setattr(gfpn, "invert_matrix", no_inverse)
+    rng = np.random.default_rng(71)
+    for kind in ("field", "product"):
+        f = PFunction(ctx, rng.integers(5, size=5 ** (4 + (kind == "product"))), kind)
+        assert np.array_equal(walsh_full(f).counts, walsh_naive_full(f)), kind
 
 
 def test_naive_full_is_a_small_domain_oracle():
