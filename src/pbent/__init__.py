@@ -22,8 +22,6 @@ from .quadratic import (
     certificate,
     circulant_delta,
     delta_eta,
-    monomial_bent_criterion,
-    monomial_spec,
     near_bent_zeta_prediction,
 )
 from .spectrum import (
@@ -82,8 +80,6 @@ __all__ = [
     "glue",
     "make_field",
     "match_shape",
-    "monomial_bent_criterion",
-    "monomial_spec",
     "near_bent_zeta_prediction",
     "predict_regularity",
     "run_all",

@@ -114,7 +114,8 @@ def _common_field(components: tuple) -> FieldCtx:
 def _certify(components: tuple) -> tuple:
     """Certify the templates g_k with one elimination: each is near-bent and
     all share one kernel. Returns (field, components, beta, b*, the values
-    g_k(beta), the classes eta(Delta(g_k)))."""
+    g_k(beta), the classes eta(Delta(g_k))). As A beta = 0 for the form matrix A,
+    g_k(beta) = Tr(b_k beta) + c_k for the linear part b_k and constant c_k."""
     certs = certificates(components)
     for k, cert in enumerate(certs):
         if cert.s != 1:
@@ -124,7 +125,8 @@ def _certify(components: tuple) -> tuple:
         raise KernelMismatch("components have different polarization kernels")
     beta, ctx = certs[0].beta, components[0].ctx
     return (ctx, components, beta, solve_trace_equation(ctx, beta, 1),
-            [g.evaluate(beta) for g in components], [c.eta for c in certs])
+            [(ctx.trace(ctx.mul(g.linear, beta)) + g.constant) % ctx.p for g in components],
+            [c.eta for c in certs])
 
 
 def _assemble(templates: tuple, scalars: tuple, b_witnesses=None) -> GluedSpec:

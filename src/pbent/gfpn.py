@@ -10,9 +10,9 @@ Element arithmetic is digit vectors times n x n matrices over F_p: powers of
 the companion matrix C of the modulus (multiplication by x^k) and of the
 Frobenius matrix F (z -> z^(p^i)), built from C^p; the trace pairing is the
 matrix trace of C^i C^j, and ranks of stacked C and F test candidate moduli
-for irreducibility. No operation builds a table of p^n entries except
-ctx.digits. Every int64 product-sum stays exact while p^n and n^2 (p-1)^2 are
-below 2^63, so make_field accepts exactly those fields: up to 3^39, 5^27, 7^22.
+for irreducibility. No operation builds a table of p^n entries. Every int64
+product-sum stays exact while p^n and n^2 (p-1)^2 are below 2^63, so
+make_field accepts exactly those fields: up to 3^39, 5^27, 7^22.
 
 A FieldCtx is immutable after construction and safe to share; every
 operation is a pure function of its arguments. Moduli are stored constant
@@ -187,13 +187,6 @@ class FieldCtx:
         return int(v % self.p @ self.index_weights)
 
     # -- matrices over F_p ---------------------------------------------------
-
-    @cached_property
-    def digits(self) -> np.ndarray:
-        """(size, n) array: row a is the coefficient vector of index a."""
-        out = digit_array(self.p, self.n)
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def index_weights(self) -> np.ndarray:

@@ -6,8 +6,7 @@ f(y+z) - f(y) - f(z), controls the whole spectrum: s = 0 means bent, s = 1
 means near-bent with support size p^(n-1). This module builds A for many
 specs at once, and from one elimination of that stack certifies kernels and
 computes the discriminant class eta(Delta), which fixes the sign of every
-nonzero coefficient. It also decides the closed-form monomial and binomial
-criteria.
+nonzero coefficient. It also decides the closed-form binomial criterion.
 """
 
 from __future__ import annotations
@@ -89,11 +88,25 @@ class QuadraticSpec:
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, x: int) -> int:
-        return int(_values(self, self.ctx.vector(x)))
+        """f(x) = d.A.d + lin.d + constant on the digits d of x (see _form)."""
+        form, lin = _form(self)
+        d = self.ctx.vector(x)
+        return int(((d @ form + lin) % self.ctx.p @ d + self.constant) % self.ctx.p)
 
     def to_table(self) -> PFunction:
-        """Vectorized evaluation over the whole field."""
-        return PFunction.from_field_table(self.ctx, _values(self, self.ctx.digits))
+        """The values on the whole field, one digit at a time: with x = x' + p^i t
+        for the digits x' below i, f(x) = f(x') + (r_i(x') + A[i, i] t) t, carrying
+        r_j(x') = 2 A[j, :i].x' + lin[j] (see _form) for the digits j >= i to come.
+        Entries stay below p^3 in the least dtype that holds that."""
+        p = self.ctx.p
+        form, lin = _form(self)
+        dtype = np.min_scalar_type(p ** 3)
+        form, t = form.astype(dtype), np.arange(p, dtype=dtype)[:, None]
+        table, r = np.full(1, self.constant, dtype), lin.astype(dtype)[:, None]
+        for i in range(self.ctx.n):
+            table = (((r[0] + form[i, i] * t) * t + table) % p).reshape(-1)
+            r = ((r[1:, None] + 2 * form[i + 1:, i, None, None] * t) % p).reshape(-1, table.size)
+        return PFunction.from_field_table(self.ctx, table)
 
     def to_json(self) -> dict:
         obj = field_to_json(self.ctx)
@@ -140,15 +153,12 @@ def _coefficient_rows(specs: list) -> np.ndarray:
     return acc % ctx.p @ ctx.index_weights
 
 
-def _values(spec: QuadraticSpec, d: np.ndarray) -> np.ndarray:
-    """f at the elements with coefficient vectors d (the last axis):
-    d.A.d + d.(gram.d(linear)) + constant, A the form matrix of spec. Each
-    product sums n terms below p^2 before it is reduced."""
+def _form(spec: QuadraticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(A, lin) with f(x) = d.A.d + lin.d + constant on the digit vector d of
+    x: A the form matrix of spec, lin = gram.d(linear) mod p."""
     ctx = spec.ctx
-    p = ctx.p
-    lin = ctx.gram @ ctx.vector(spec.linear) % p
-    form = (d @ form_matrices(ctx, _coefficient_rows([spec]))[0] + lin) % p
-    return ((d * form).sum(axis=-1) + spec.constant) % p
+    lin = ctx.gram @ ctx.vector(spec.linear) % ctx.p
+    return form_matrices(ctx, _coefficient_rows([spec]))[0], lin
 
 
 @dataclass(frozen=True)
@@ -279,22 +289,6 @@ def _prime_factors(m: int) -> tuple:
     if m > 1:
         out.append(m)
     return tuple(out)
-
-
-def monomial_bent_criterion(p: int, n: int, r: int, c_exponent: int) -> bool:
-    """Divisibility test for bentness of Tr(a x^(p^r + 1)), a = gamma^c.
-
-    gamma is the canonical primitive element of the canonical field model.
-    Bent iff p^gcd(2r, n) - 1 does not divide (p^n - 1)/2 - c (p^r - 1).
-    """
-    d = p ** gcd(2 * r, n) - 1
-    value = (p ** n - 1) // 2 - c_exponent * (p ** r - 1)
-    return value % d != 0
-
-
-def monomial_spec(ctx: FieldCtx, r: int, c_exponent: int) -> QuadraticSpec:
-    a = ctx.pow(primitive_element(ctx), c_exponent)
-    return QuadraticSpec(ctx, ((a, r),))
 
 
 def near_bent_zeta_prediction(spec: QuadraticSpec) -> str:

@@ -102,10 +102,6 @@ class PFunction:
         out[:-1, :-1] = g
         return out
 
-    def digits(self) -> np.ndarray:
-        """(size, dim) base-p digits of all indices; also domain coordinates."""
-        return digit_array(self.p, self.dim)
-
     def to_json(self) -> dict:
         obj = field_to_json(self.ctx)
         obj.update(
@@ -146,7 +142,7 @@ def walsh_naive_full(f: PFunction) -> np.ndarray:
     """
     if f.size > 4096:
         raise ValueError("walsh_naive_full is a small-domain reference oracle")
-    d = f.digits()
+    d = digit_array(f.p, f.dim)
     pairing = ((d @ f.gram() % f.p) @ d.T) % f.p
     keys = (f.table[None, :] - pairing) % f.p
     counts = np.empty((f.size, f.p), dtype=np.int64)

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -17,12 +18,19 @@ from pbent.cyclotomic import CycInt, eta, match_shape
 from pbent.gfpn import (
     FieldCtx,
     _rref_stack,
+    digit_array,
     digit_planes,
     invert_matrix,
     make_field,
     solve_trace_equation,
 )
-from pbent.quadratic import DegenerateForm, NearBentCertificate, QuadraticSpec, certificates
+from pbent.quadratic import (
+    DegenerateForm,
+    NearBentCertificate,
+    QuadraticSpec,
+    certificates,
+    primitive_element,
+)
 from pbent.spectrum import (
     PFunction,
     ShapeMismatch,
@@ -143,7 +151,7 @@ def walsh_full_rolls(f: PFunction) -> WalshSpectrum:
         cube = new
     flat = cube.reshape(size, p)
     weights = p ** np.arange(m, dtype=np.int64)
-    perm = ((f.digits() @ f.gram().T) % p) @ weights
+    perm = ((digit_array(p, m) @ f.gram().T) % p) @ weights
     rows = flat[perm]
     counts = rows - rows[:, -1:]
     spec = WalshSpectrum(p, m, counts)
@@ -183,8 +191,9 @@ def value_table_tensordot(poly: AnfPoly) -> np.ndarray:
 
 def pairing_vector(f: PFunction, c: int) -> np.ndarray:
     """<c, x> for every x, as one pass over the digit coordinates."""
-    u = (f.gram() @ f.digits()[c]) % f.p
-    return (f.digits() @ u) % f.p
+    digits = digit_array(f.p, f.dim)
+    u = (f.gram() @ digits[c]) % f.p
+    return (digits @ u) % f.p
 
 
 def lagrange_glue_reference(spec: GluedSpec) -> np.ndarray:
@@ -421,7 +430,7 @@ def solve_trace_equation_scan(ctx: FieldCtx, beta: int, target: int) -> int:
         [trace_power_traces(ctx, mul_polynomial(ctx, ctx.p ** j, beta)) for j in range(ctx.n)],
         dtype=np.int64,
     )
-    hits = np.nonzero(ctx.digits @ lv % ctx.p == target % ctx.p)[0]
+    hits = np.nonzero(digit_array(ctx.p, ctx.n) @ lv % ctx.p == target % ctx.p)[0]
     return int(hits[0])
 
 
@@ -494,10 +503,27 @@ def polarization_kernel(ctx: FieldCtx, f) -> frozenset:
     y = x^j suffice."""
     p, n = ctx.p, ctx.n
     f = np.asarray(f)
-    z, digits = np.arange(ctx.size), ctx.digits
+    z, digits = np.arange(ctx.size), digit_array(p, n)
     polar = [f[np.where(digits[:, j] < p - 1, z + p ** j, z - (p - 1) * p ** j)]
              - f[p ** j] - f + f[0] for j in range(n)]
     return frozenset(np.flatnonzero(np.all(np.array(polar) % p == 0, axis=0)).tolist())
+
+
+def monomial_bent_criterion(p: int, n: int, r: int, c_exponent: int) -> bool:
+    """Divisibility test for bentness of Tr(a x^(p^r + 1)), a = gamma^c.
+
+    gamma is the canonical primitive element of the canonical field model.
+    Bent iff p^gcd(2r, n) - 1 does not divide (p^n - 1)/2 - c (p^r - 1).
+    """
+    d = p ** gcd(2 * r, n) - 1
+    value = (p ** n - 1) // 2 - c_exponent * (p ** r - 1)
+    return value % d != 0
+
+
+def monomial_spec(ctx: FieldCtx, r: int, c_exponent: int) -> QuadraticSpec:
+    """Tr(gamma^c x^(p^r + 1)) for the canonical primitive element gamma."""
+    a = ctx.pow(primitive_element(ctx), c_exponent)
+    return QuadraticSpec(ctx, ((a, r),))
 
 
 # ---------------------------------------------------------------------------

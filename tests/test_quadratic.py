@@ -20,8 +20,6 @@ from pbent.quadratic import (
     circulant_delta,
     delta_eta,
     form_matrices,
-    monomial_bent_criterion,
-    monomial_spec,
     near_bent_zeta_prediction,
     primitive_element,
 )
@@ -34,10 +32,13 @@ from oracles import (
     evaluate_per_term,
     form_matrix_per_term,
     linearized_per_element,
+    monomial_bent_criterion,
+    monomial_spec,
     polarization_kernel,
 )
 
-FIELDS = [(p, n) for p, max_n in ((3, 6), (5, 4), (7, 3)) for n in range(1, max_n + 1)]
+FIELDS = [(p, n) for p, max_n in ((3, 6), (5, 4), (7, 3), (11, 1), (13, 1))
+          for n in range(1, max_n + 1)]
 
 
 def test_spec_normalization_and_validation():
@@ -69,14 +70,16 @@ def test_table_matches_scalar_evaluation():
 
 @pytest.mark.parametrize("p, n", FIELDS)
 def test_evaluation_and_kernel_span_match_per_term_oracles(p, n):
+    # n = 1 has no lower digits for the table's recursion; every spec has a
+    # nonzero linear part and constant
     ctx = make_field(p, n)
     rng = random.Random(10 * p + n)
     for terms in (0, 1, 3):
         q = QuadraticSpec(
             ctx,
             tuple((rng.randrange(ctx.size), rng.randrange(n)) for _ in range(terms)),
-            linear=rng.randrange(ctx.size),
-            constant=rng.randrange(p),
+            linear=rng.randrange(1, ctx.size),
+            constant=rng.randrange(1, p),
         )
         expected = [evaluate_per_term(q, x) for x in range(ctx.size)]
         assert q.to_table().table.tolist() == expected
@@ -88,6 +91,23 @@ def test_evaluation_and_kernel_span_match_per_term_oracles(p, n):
         cert = certificate(q)
         assert len(brute) == p ** cert.s
         assert cert.beta == (min(brute - {0}) if cert.s == 1 else None)
+
+
+def test_table_build_peak_stays_near_the_table():
+    # the digit recursion holds the table in one byte per entry, its int64
+    # copy and narrower rows: no (p^n, n) digit array, at most 3x the table
+    import tracemalloc
+
+    ctx = make_field(3, 13)
+    q = binomial_spec(ctx, 2, 1, "plus").with_linear(5)
+    ctx.gram  # cached on the field outside the traced call
+    tracemalloc.start()
+    try:
+        table = q.to_table().table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes, peak / table.nbytes
 
 
 def test_scale_and_with_linear():

@@ -6,13 +6,16 @@
 DIR is a checkout of the repository. For every workload in BENCHMARK.json
 and pair k, both checkouts run ``perfbench/run.py --trace 0`` with seed
 seed-base + k; even pairs run the parent first, odd pairs the change first,
-so a drift of the host's speed weighs on both sides. The file BENCH_<NAME>.json in the current
-directory gets the result line of every run, the seeds, the machine, both
-commits and, per workload and end-to-end metric, each side's median and
-quartiles, the pairs the change won (ties count for neither side) and
-whether that is a gain: at least nine tenths of the pairs won and medians
-further apart than the parent's interquartile range. The file is rewritten
-after every pair, so an interrupted run keeps the pairs it finished.
+so a drift of the host's speed weighs on both sides. After the pairs, each
+checkout makes one ``--trace 1`` run (seed seed-base + pairs), whose result
+line holds the per-layer metrics of every workload. The file
+BENCH_<NAME>.json in the current directory gets the result line of every
+run, the seeds, the machine, both commits and, per workload and end-to-end
+metric, each side's median and quartiles, the pairs the change won (ties
+count for neither side) and whether that is a gain: at least nine tenths of
+the pairs won and medians further apart than the parent's interquartile
+range. The file is rewritten after every pair and every traced run, so an
+interrupted run keeps the runs it finished.
 The workers' stderr is a pipe (recorded as "worker_stderr": "pipe"); that
 alone moves the glued_bent peak_rss_mb by about 1.5 MB against a run whose
 stderr is inherited, so compare peak RSS only between runs made the same way.
@@ -62,10 +65,10 @@ def machine() -> dict:
     }
 
 
-def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(path: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run; its last output line, or the failure."""
     cmd = [sys.executable, os.path.join(path, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     start = time.time()
     proc = subprocess.run(cmd, capture_output=True, text=True)
     out = {"started": start, "returncode": proc.returncode}
@@ -120,7 +123,7 @@ def main() -> int:
         bench = json.load(fh)
     record = {
         "tag": args.tag,
-        "command": "perfbench/run.py --trace 0",
+        "command": "perfbench/run.py --trace 0, then one --trace 1 run per side",
         "worker_stderr": "pipe",
         "seconds": args.seconds,
         "machine": machine(),
@@ -129,6 +132,12 @@ def main() -> int:
         "workloads": {},
     }
     path = f"BENCH_{args.tag}.json"
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+
     for workload in (w["name"] for w in bench["workloads"]):
         entry = record["workloads"][workload] = {"pairs": [], "summary": {}}
         for k in range(args.pairs):
@@ -136,12 +145,10 @@ def main() -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds, 0)
             entry["pairs"].append(pair)
             entry["summary"] = summary(entry["pairs"], bench["end_to_end"])
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=1)
-                fh.write("\n")
+            write()
             got = {s: pair[s].get("result", {}).get("metrics", {}).get("wall_s", {})
                    .get("value") for s in order}
             print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}: wall_s {got}", flush=True)
@@ -149,6 +156,13 @@ def main() -> int:
             print(f"{workload} {name}: parent {s['parent_median']:.4g} change "
                   f"{s['change_median']:.4g} {s['unit']}, change won {s['change_wins']} of "
                   f"{s['pairs']}, gain {s['gain']}", flush=True)
+    # a --trace 1 run covers every workload; it starts from the first one
+    first = bench["workloads"][0]["name"]
+    traced = record["traced"] = {"workload": first, "seed": args.seed_base + args.pairs}
+    for side in ("parent", "change"):
+        traced[side] = run_once(getattr(args, side), first, traced["seed"], args.seconds, 1)
+        write()
+        print(f"traced run of the {side}: returncode {traced[side]['returncode']}", flush=True)
     return 0
 
 
