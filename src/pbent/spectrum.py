@@ -376,22 +376,48 @@ def mults_json(mults: dict) -> list:
     return [{"zeta": z, "j": j, "count": c} for (z, j), c in sorted(mults.items())]
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Pack each of the N rows into ceil(p / per) int64 keys: rows i and j
+    are equal exactly when keys[:, i] and keys[:, j] are.
+
+    With h the largest |entry| and R = 2h + 1, a key packs per entries c_j
+    as sum c_j R^j, per the largest count with R^per <= 2^64. Adding
+    h (1 + R + ...) maps these sums one to one onto integers below 2^64, so
+    they stay distinct in wrapping int64 arithmetic. Each key is built by
+    Horner's rule in place from strided columns, with no (N,) temporary.
+    """
+    p = rows.shape[1]
+    radix = 2 * max(int(rows.max()), -int(rows.min()), 1) + 1
+    per = max((k for k in range(2, p + 1) if radix ** k <= 2 ** 64), default=1)
+    keys = np.empty((-(-p // per), len(rows)), dtype=np.int64)
+    for key, top in zip(keys, range(p, 0, -per)):
+        key[:] = rows[:, top - 1]
+        for column in range(top - 2, max(top - per, 0) - 1, -1):
+            key *= radix
+            key += rows[:, column]
+    return keys
+
+
 def _classify_rows(p: int, dim: int, rows: np.ndarray, mag: int | None = None):
     """Match each distinct count row once; returns (mag, shapes, labels).
 
     shapes[k] is the shape of the k-th distinct row in order of first
     occurrence (None for the zero row), and labels[i] = k for every row i
     equal to it. Each pass of the peel loop takes the first unlabelled row,
-    computes its |w|^2 and labels every row equal to it, compared column by
-    column. Unless given, the first distinct row fixes the magnitude exponent
-    mag: dim (bent) if its |w|^2 is p^dim, else dim + 1 (near-bent, the only
-    kind with zero rows).
+    computes its |w|^2 and labels every row equal to it, found by comparing
+    one or two packed int64 keys per row (_row_keys), built only once row 0
+    has passed its checks. Unless given, the first distinct row fixes the
+    magnitude exponent mag: dim (bent) if its |w|^2 is p^dim, else dim + 1
+    (near-bent, the only kind with zero rows).
     A zero row at mag = dim, or |w|^2 other than p^mag, raises NotBent; a
-    row of norm p^mag that matches no shape raises ShapeMismatch. So the
-    loop runs at most 2p + 2 times, and once on a random table.
+    row of norm p^mag that matches no shape raises ShapeMismatch. So on
+    canonical rows the loop runs at most 2p + 2 times, and once on a random
+    table. Labels are in the least signed dtype that holds 2p + 1 (int8 up to
+    p = 61), widened to intp if non-canonical rows give more distinct rows.
     """
-    labels = np.full(len(rows), -1, dtype=np.intp)
+    labels = np.zeros(len(rows), dtype=np.min_scalar_type(-2 * p - 1))  # label + 1, 0 while unlabelled
     shapes: list[ValueShape | None] = []
+    keys = None
     first = 0
     while first >= 0:
         row = rows[first]
@@ -408,12 +434,19 @@ def _classify_rows(p: int, dim: int, rows: np.ndarray, mag: int | None = None):
                 f"coefficient {row.tolist()} has no admissible shape at "
                 f"magnitude exponent {mag}"
             )
-        same = rows[:, 0] == row[0]
-        for column, value in zip(rows.T[1:], row[1:]):
-            same &= column == value
-        labels[same] = len(shapes)
+        if keys is None:
+            keys = _row_keys(rows)
+        same = keys[0] == keys[0, first]
+        for key in keys[1:]:
+            same &= key == key[first]
         shapes.append(shape)
-        first = int(labels.argmin()) if labels.min() < 0 else -1
+        if len(shapes) > 2 * p + 1:  # only non-canonical rows get here
+            labels = labels.astype(np.intp, copy=False)
+        # the rows equal to this one are all unlabelled (0) so far
+        labels += same.astype(labels.dtype) * len(shapes)
+        first = int(labels.argmin())
+        first = first if labels[first] == 0 else -1
+    labels -= 1
     return mag, shapes, labels
 
 
@@ -430,9 +463,10 @@ def _multiplicities(shapes, labels) -> dict:
 def analyze(spec: WalshSpectrum) -> SpectrumReport:
     """Flags, classification, dual table and per-shape multiplicities.
 
-    Bent or near-bent is decided on the distinct rows; their shapes follow
-    from the parity of the magnitude exponent (dim for bent, dim + 1 on a
-    near-bent support), never from a hard-coded case table.
+    Bent or near-bent is decided on the distinct rows, told apart by packed
+    int64 row keys (_classify_rows); their shapes follow from the parity of
+    the magnitude exponent (dim for bent, dim + 1 on a near-bent support),
+    never from a hard-coded case table.
     """
     p, dim = spec.p, spec.dim
     support_size = spec.support_size

@@ -13,8 +13,11 @@ from pbent.spectrum import (
     ShapeMismatch,
     WalshSpectrum,
     _check_parseval,
+    _classify_rows,
+    _multiplicities,
     _pass_dtype,
     _pass_matrix,
+    _row_keys,
     _start,
     _transform,
     _transform_bytes,
@@ -549,6 +552,136 @@ def test_classification_matches_per_row_oracle(case):
         )
 
 
+def _same_partition(labels, values) -> bool:
+    """labels[i] == labels[j] exactly where values[i] == values[j]."""
+    pairs = set(zip(labels.tolist(), values))
+    return len(pairs) == len(set(labels.tolist())) == len(set(values))
+
+
+def _near_bent_and_glued(p, n, scalars):
+    """The near-bent Tr(x^2 - x^(p+1)) on F_{p^n} and p copies of it, glued."""
+    from pbent.construct import arrange, glue
+
+    g = binomial_spec(make_field(p, n), 0, 1, "minus")
+    return walsh_full(g.to_table()), walsh_full(glue(arrange((g,) * p, scalars)))
+
+
+@pytest.mark.parametrize("p, n, scalars", [(3, 5, (1, 2, 1)), (5, 3, (1, 1, 2, 3, 4)),
+                                           (7, 2, (1,) * 6 + (3,))])
+def test_row_keys_classify_like_the_per_row_oracle(p, n, scalars):
+    component, glued = _near_bent_and_glued(p, n, scalars)
+    cases = [(component.counts, n, None), (component.counts[: p ** (n - 1)], n, n + 1),
+             (glued.counts, n + 1, None), (glued.counts[: p ** n], n + 1, n + 1)]
+    for rows, dim, mag in cases:
+        mag, shapes, labels = _classify_rows(p, dim, rows, mag)
+        assert labels.dtype == np.int8
+        expected, _ = classify_rows_per_row(p, rows, mag)
+        assert [shapes[k] for k in labels] == expected
+        assert _same_partition(labels, expected)
+        # labels number the distinct rows in order of first occurrence
+        assert np.all(np.diff(np.unique(labels, return_index=True)[1]) > 0)
+    assert None in _classify_rows(p, n, component.counts)[1]  # near-bent: zero rows
+
+
+def test_row_keys_are_equal_exactly_where_rows_are():
+    rng = np.random.default_rng(18)
+    # at p = 11 one key packs the whole row up to R = 2h + 1 = 55, as
+    # R^11 <= 2^64 < 57^11; the other h are random
+    for p, h, count in ((3, 2417, 1), (5, 40, 1), (7, 1500, 2), (11, 27, 1), (11, 28, 2),
+                        (13, 2999, 3)):
+        rows = rng.integers(-h, h + 1, size=(400, p))
+        rows[:50] = rows[50:100]  # repeated rows
+        rows[100, 0], rows[101, -1] = h, -h  # entries at +-h
+        # rows that would pack like row 0 under the radix of row 0 alone: R0
+        # more at column j, one less at column j + 1; all within +-h
+        rows[0] //= 4
+        radix0 = 2 * int(np.abs(rows[0]).max()) + 1
+        for j in range(p - 1):
+            twin = rows[0].copy()
+            twin[j] += radix0
+            twin[j + 1] -= 1
+            rows[200 + j] = twin
+            # (.., h, x, ..) and (.., -h, x + 1, ..) pack R^j apart
+            rows[300 + j, j : j + 2] = h, min(rows[300 + j, j + 1], h - 1)
+            rows[350 + j] = rows[300 + j]
+            rows[350 + j, j : j + 2] += -2 * h, 1
+        assert np.abs(rows).max() == h
+        keys = _row_keys(rows)
+        assert keys.dtype == np.int64 and keys.shape == (count, len(rows))
+        assert _same_partition(np.unique(keys.T, axis=0, return_inverse=True)[1].ravel(),
+                               [tuple(r) for r in rows.tolist()])
+    extreme = np.array([[-2 ** 63, 2 ** 63 - 1, 0], [2 ** 63 - 1, -2 ** 63, 0]], dtype=np.int64)
+    assert np.array_equal(_row_keys(extreme), extreme.T[::-1])  # one entry per key
+
+
+def test_a_row_that_packs_like_row_zero_is_classified_apart():
+    """Row 1 differs from row 0 by R0 at one column and -1 at the next, R0 the
+    radix row 0 alone would give: it gets its own pass and fails its norm."""
+    spec = walsh_full(QuadraticSpec(make_field(3, 2), ((1, 0),)).to_table())
+    row = spec.counts[0]
+    twin = row.copy()
+    twin[0] += 2 * int(np.abs(row).max()) + 1
+    twin[1] -= 1
+    with pytest.raises(NotBent, match=re.escape(f"coefficient {twin.tolist()} ")):
+        _classify_rows(3, 2, np.stack([row, twin, row]))
+
+
+def test_rows_that_differ_in_one_key_alone_are_classified_apart():
+    """At p = 7, mag 41 the entries reach 7^20, so each key packs one column."""
+    from pbent.cyclotomic import _shape_table
+
+    table = _shape_table(7, 41)
+    rows = np.array(list(table) * 2, dtype=np.int64)
+    assert len(_row_keys(rows)) == 7
+    mag, shapes, labels = _classify_rows(7, 41, rows, 41)
+    assert shapes == list(table.values()) and np.array_equal(labels, np.arange(28) % 14)
+    twin = rows[0].copy()
+    twin[0] -= 1  # column 0 is packed in the last key only
+    with pytest.raises(NotBent, match=re.escape(f"coefficient {twin.tolist()} ")):
+        _classify_rows(7, 41, np.stack([rows[0], twin]), 41)
+
+
+def test_non_canonical_rows_stay_distinct_beyond_the_int8_labels():
+    """Rows w + k (1, 1, 1) are one element of Z[e] but 200 distinct rows."""
+    w = np.array(CycInt.root_power(3, 1).counts) * 3
+    rows = w + np.arange(200)[:, None] * np.ones(3, dtype=np.int64)
+    mag, shapes, labels = _classify_rows(3, 2, np.concatenate([rows, rows[::-1]]))
+    assert mag == 2 and len(shapes) == 200 and len(set(shapes)) == 1
+    assert np.array_equal(labels, np.concatenate([np.arange(200), np.arange(200)[::-1]]))
+
+
+def test_labels_past_int8_at_p_67():
+    """Every admissible shape at p = 67, mag 3: 134 distinct rows, more than
+    int8 holds, classified with no transform."""
+    from pbent.cyclotomic import _shape_table
+
+    table = _shape_table(67, 3)
+    distinct = np.array(list(table), dtype=np.int64)
+    reps = np.arange(len(distinct)) % 3 + 1
+    order = np.random.default_rng(67).permutation(int(reps.sum()))
+    rows = np.repeat(distinct, reps, axis=0)[order]
+    mag, shapes, labels = _classify_rows(67, 3, rows, 3)
+    assert labels.dtype == np.int16 and len(shapes) == 134 == labels.max() + 1
+    assert [shapes[k] for k in labels] == [table[tuple(r)] for r in rows.tolist()]
+    mults = {(s.zeta, s.j): count for s, count in zip(table.values(), reps.tolist())}
+    assert _multiplicities(shapes, labels) == mults
+
+
+def test_analyze_peak_memory_has_no_row_by_column_temporary():
+    # an (N, p) int64 temporary alone would be 1x the counts
+    import tracemalloc
+
+    _, spec = _near_bent_and_glued(7, 4, (1, 2, 3, 4, 5, 6, 1))
+    analyze(spec)
+    tracemalloc.start()
+    try:
+        analyze(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * spec.counts.nbytes, peak / spec.counts.nbytes
+
+
 def _oracle_error(fn, *args) -> str:
     with pytest.raises(ShapeMismatch) as exc:
         fn(*args)
@@ -597,9 +730,14 @@ def test_unmatched_row_raises_the_oracle_message(monkeypatch):
 
 
 def _count_row_matches(monkeypatch) -> list:
-    """Record every norm_sq and match_shape call the classifier makes."""
+    """Record every norm_sq and match_shape call the classifier makes, and
+    fail any build of the row keys."""
     import pbent.spectrum as spectrum
 
+    def no_keys(rows):
+        raise AssertionError("row keys built")
+
+    monkeypatch.setattr(spectrum, "_row_keys", no_keys)
     calls = []
     norm_sq = CycInt.norm_sq
 

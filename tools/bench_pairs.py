@@ -7,8 +7,11 @@ DIR is a checkout of the repository. For every workload in BENCHMARK.json
 and pair k, both checkouts run ``perfbench/run.py --trace 0`` with seed
 seed-base + k; even pairs run the parent first, odd pairs the change first,
 so a drift of the host's speed weighs on both sides. After the pairs, each
-checkout makes one ``--trace 1`` run (seed seed-base + pairs), whose result
-line holds the per-layer metrics of every workload. The file
+checkout makes two ``--trace 1`` runs, alternated parent, change, change,
+parent (seeds seed-base + pairs and seed-base + pairs + 1), whose result
+lines hold the per-layer metrics of every workload; the record lists each
+per-layer metric's two values per side, so its spread shows beside the
+difference. The file
 BENCH_<NAME>.json in the current directory gets the result line of every
 run, the seeds, the machine, both commits and, per workload and end-to-end
 metric, each side's median and quartiles, the pairs the change won (ties
@@ -123,7 +126,7 @@ def main() -> int:
         bench = json.load(fh)
     record = {
         "tag": args.tag,
-        "command": "perfbench/run.py --trace 0, then one --trace 1 run per side",
+        "command": "perfbench/run.py --trace 0, then two --trace 1 runs per side",
         "worker_stderr": "pipe",
         "seconds": args.seconds,
         "machine": machine(),
@@ -157,12 +160,18 @@ def main() -> int:
                   f"{s['change_median']:.4g} {s['unit']}, change won {s['change_wins']} of "
                   f"{s['pairs']}, gain {s['gain']}", flush=True)
     # a --trace 1 run covers every workload; it starts from the first one
-    first = bench["workloads"][0]["name"]
-    traced = record["traced"] = {"workload": first, "seed": args.seed_base + args.pairs}
-    for side in ("parent", "change"):
-        traced[side] = run_once(getattr(args, side), first, traced["seed"], args.seconds, 1)
+    first, seed = bench["workloads"][0]["name"], args.seed_base + args.pairs
+    traced = record["traced"] = {"workload": first, "seeds": [seed, seed + 1],
+                                 "parent": [], "change": [], "per_layer": {}}
+    for k, side in enumerate(("parent", "change", "change", "parent")):
+        traced[side].append(run_once(getattr(args, side), first, seed + k // 2, args.seconds, 1))
+        traced["per_layer"] = {
+            m["name"]: {s: [r["result"]["metrics"].get(m["name"], {}).get("value")
+                            for r in traced[s] if "result" in r] for s in ("parent", "change")}
+            for m in bench["per_layer"]}
         write()
-        print(f"traced run of the {side}: returncode {traced[side]['returncode']}", flush=True)
+        print(f"traced run {k + 1}/4 ({side}, seed {seed + k // 2}): returncode "
+              f"{traced[side][-1]['returncode']}", flush=True)
     return 0
 
 
