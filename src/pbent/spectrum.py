@@ -152,14 +152,24 @@ def walsh_naive_full(f: PFunction) -> np.ndarray:
 
 
 class WalshSpectrum:
-    """Complete exact spectrum: one canonical count row per coefficient."""
+    """Complete exact spectrum: one canonical count row per coefficient.
+
+    The counts are int32: an entry of a spectrum is at most p^dim in
+    magnitude, below 2^31 on every domain check_transform_size accepts.
+    walsh_full's int32 array is taken as it is; any other array is converted
+    only if every |entry| <= p^dim, and ValueError is raised otherwise.
+    """
 
     def __init__(self, p: int, dim: int, counts: np.ndarray):
         self.p = p
         self.dim = dim
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
         if counts.shape != (p ** dim, p):
             raise ValueError("counts must be (p^dim, p)")
+        if counts.dtype != np.int32:
+            if max(int(counts.max()), -int(counts.min())) > p ** dim:
+                raise ValueError(f"a count exceeds p^dim = {p ** dim} in magnitude")
+            counts = counts.astype(np.int32)
         counts.setflags(write=False)
         self.counts = counts
 
@@ -188,17 +198,20 @@ def _pass_digits(p: int) -> int:
 
 def _transform_bytes(p: int, dim: int) -> int:
     """Bytes of the transform of p^dim points at its peak: the int64 table, the
-    int64 counts with the float32 passes inside them (8 bytes per count entry;
-    in float64 a separate cube makes it 16), and the largest pass matrix,
-    counted twice to cover the index arrays of its build."""
+    block of 8 bytes per count entry that holds the float32 passes and is
+    later shrunk to the int32 counts (in float64 a separate cube makes it 16),
+    and the largest pass matrix, counted twice to cover the index arrays of
+    its build."""
     size, d = p ** dim, min(_pass_digits(p), dim)
     item = np.dtype(_pass_dtype(size)).itemsize
     return size * (2 * item * p + 8) + 2 * p ** (2 * d + 1) * (p - 1) * item
 
 
 def check_transform_size(p: int, dim: int) -> None:
-    """Reject p^dim points before any allocation: counts and sums stay in int64,
-    and the table, counts and pass matrix (_transform_bytes) fit in 4 GiB."""
+    """Reject p^dim points before any allocation: p^(2 dim + 1) < 2^62 keeps
+    sums in int64 and gives p^dim < 2^31, so every count, at most p^dim in
+    magnitude, is exact in int32; and the table, the transform's block and
+    pass matrix (_transform_bytes) fit in 4 GiB."""
     if p ** (2 * dim + 1) >= 2 ** 62:
         raise ValueError(f"domain of {p}^{dim} points too large for the exact int64 transform")
     if _transform_bytes(p, dim) > 2 ** 32:
@@ -218,11 +231,14 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     passes work on canonical rows, e^(p-1) written as -(1 + ... + e^(p-2)),
     so after the first one only p - 1 columns are carried. A partial sum is
     at most 2 p^dim in magnitude, so BLAS runs the passes exactly in float32
-    up to 2^23 points and in float64 above. The float32 passes run inside the
-    memory of the int64 counts they produce, so beside the table the
-    transform holds 8 bytes per count entry (16 in float64), its pass matrix
-    and the start's copy of the table, one byte per point. Checked against
-    walsh_naive_full in the tests; Parseval runs on every call.
+    up to 2^23 points and in float64 above. The float32 passes run inside
+    one block of 8 bytes per count entry, so at its peak the transform holds
+    beside the table that block (16 bytes in float64), its pass matrix and
+    the start's copy of the table, one byte per point. The counts are int32,
+    exact because check_transform_size keeps p^dim < 2^31, and the block is
+    shrunk in place to them, so the spectrum keeps 4 bytes per entry.
+    Checked against walsh_naive_full in the tests; Parseval runs on every
+    call.
     """
     check_transform_size(f.p, f.dim)
     spec = WalshSpectrum(f.p, f.dim, _transform(f, _pass_dtype(f.size)))
@@ -258,25 +274,25 @@ def _pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
 
 
 def _transform(f: PFunction, dtype) -> np.ndarray:
-    """Canonical int64 count rows of walsh_full, with the passes in dtype.
+    """Canonical int32 count rows of walsh_full, with the passes in dtype.
 
-    The counts are allocated once. In float32 their block holds every pass
-    array: buf at its bottom, the p-column start cube in its upper half and
-    the (p - 1)-column canonical cube at its top. In float64 buf is the block
-    and the start cube, with the canonical cube at its top, a separate
-    array. Each pass copies its input transposed into buf, a row of entries
-    moved as one np.void element, and multiplies buf into the canonical
-    cube. The first pass reads all p columns of the start; the later ones
-    read p - 1, the canonical entry at e^(p-1) being zero. The canonical
-    columns are then written front to back in chunks [lo, hi) with
-    2p hi <= size (p + 1) + (p - 1) lo, so no write lands on an unread cube
-    row, and the last column is zeroed. A chunk has at least 4096 rows; where
-    that makes it overlap its own cube rows, numpy buffers them before writing.
+    One block of 8 bytes per count entry is allocated. In float32 it holds
+    every pass array: buf at its bottom, the p-column start cube in its
+    upper half and the (p - 1)-column canonical cube at its top. In float64
+    buf is the block and the start cube, with the canonical cube at its top,
+    a separate array. Each pass copies its input transposed into buf, a row
+    of entries moved as one np.void element, and multiplies buf into the
+    canonical cube. The first pass reads all p columns of the start; the
+    later ones read p - 1, the canonical entry at e^(p-1) being zero. The
+    canonical columns are then cast into the block's first size p int32
+    slots, which lie below the canonical cube in float32 and in the dead buf
+    in float64, the last column is zeroed, and the block is shrunk in place
+    to those slots (resize checks that no view of it is left).
     """
     p, m, size = f.p, f.dim, f.size
     most = _pass_digits(p)
-    counts = np.zeros((size, p), dtype=np.int64)
-    buf = counts.reshape(-1).view(dtype)
+    block = np.zeros(2 * size * p, dtype=np.int32)
+    buf = block.view(dtype)
     cube = buf[size * p :] if dtype == np.float32 else np.zeros(size * p, dtype=dtype)
     _start(f, cube)
     canon, src, width = cube[size:], cube, p
@@ -288,14 +304,12 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
         np.matmul(into.reshape(-1, p ** d * width), _pass_matrix(p, d, dtype, width),
                   out=canon.reshape(-1, p ** d * (p - 1)))
         src, width = canon, p - 1
-    canon = canon.reshape(size, p - 1)
-    lo = 0
-    while lo < size:
-        hi = min(size, max(lo + 4096, (size * (p + 1) + (p - 1) * lo) // (2 * p)))
-        np.copyto(counts[lo:hi, :-1], canon[lo:hi], casting="unsafe")
-        counts[lo:hi, -1] = 0
-        lo = hi
-    return counts
+    counts = block[: size * p].reshape(size, p)
+    np.copyto(counts[:, :-1], canon.reshape(size, p - 1), casting="unsafe")
+    counts[:, -1] = 0
+    del buf, cube, canon, src, into, counts
+    block.resize(size * p)
+    return block.reshape(size, p)
 
 
 def _start(f: PFunction, cube: np.ndarray) -> None:
@@ -325,16 +339,19 @@ def _start(f: PFunction, cube: np.ndarray) -> None:
 def _check_parseval(spec: WalshSpectrum) -> None:
     """sum_b |W(b)|^2 = p^(2 dim): with gram = counts.T @ counts the total
     has count sum_j gram[j, j - t] at e^t. The Gram is summed exactly over
-    row chunks of at most 8192 rows, in float64 (BLAS) while their sums stay
-    below 2^53, else in int64, and the chunks are added as Python ints."""
+    chunks of 8192 rows, each in float64 (BLAS) if its own largest entry
+    keeps the chunk's sums within 2^53, else in int64 over as many rows at a
+    time as keep them below 2^63, and the chunks are added as Python ints."""
     p, c = spec.p, spec.counts
-    big = max(int(c.max()), -int(c.min()), 1) ** 2
-    dtype, limit = (np.float64, 2 ** 53) if big <= 2 ** 53 else (np.int64, 2 ** 63 - 1)
-    step = min(limit // big, 1 << 13)
     gram = 0
-    for i in range(0, len(c), step):
-        x = c[i : i + step].astype(dtype)
-        gram = gram + (x.T @ x).astype(np.int64).astype(object)
+    for i in range(0, len(c), 1 << 13):
+        chunk = c[i : i + (1 << 13)]
+        big = max(int(chunk.max()), -int(chunk.min()), 1) ** 2
+        dtype, limit = (np.float64, 2 ** 53) if big << 13 <= 2 ** 53 else (np.int64, 2 ** 63 - 1)
+        step = limit // big
+        for j in range(0, len(chunk), step):
+            x = chunk[j : j + step].astype(dtype)
+            gram = gram + (x.T @ x).astype(np.int64).astype(object)
     j = np.arange(p)
     total = [sum(gram[j, (j - t) % p]) for t in range(p)]
     expected = [p ** (2 * spec.dim)] + [0] * (p - 1)

@@ -162,7 +162,7 @@ def walsh_full_rolls(f: PFunction) -> WalshSpectrum:
 def norm_rows(spec: WalshSpectrum) -> np.ndarray:
     """Canonical count rows of |W(b)|^2 for every b, by p^2 column products."""
     p = spec.p
-    cols = spec.counts.T.copy()
+    cols = spec.counts.T.astype(np.int64)
     out = np.zeros_like(cols)
     for t, j in np.ndindex(p, p):
         out[t] += cols[j] * cols[(j - t) % p]

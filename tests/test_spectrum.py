@@ -185,7 +185,10 @@ def test_both_pass_dtypes_equal_the_roll_transform(dtype):
         size = p ** (n + (kind == "product"))
         funcs.append(PFunction(make_field(p, n), rng.integers(p, size=size), kind))
     for f in funcs:
-        assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (f.p, f.dim)
+        counts = _transform(f, dtype)
+        assert np.array_equal(counts, walsh_full_rolls(f).counts), (f.p, f.dim)
+        # int32 counts in their own block, shrunk from 8 bytes per entry
+        assert counts.dtype == np.int32 and counts.base.nbytes == counts.nbytes, (f.p, f.dim)
 
 
 def test_size_guard_fires_before_any_allocation():
@@ -202,7 +205,7 @@ def test_size_guard_fires_before_any_allocation():
 
 
 def test_size_guard_counts_eight_bytes_per_float32_entry():
-    # 53^4 = 7,890,481 points run in float32 inside the int64 counts:
+    # 53^4 = 7,890,481 points run in float32 inside a block of 8 bytes per count entry:
     # 53 * 8 + 8 = 432 bytes a point, 3.41 GB, and 62 MB for the pass matrix
     check_transform_size(53, 4)
 
@@ -282,37 +285,58 @@ def test_constant_functions_in_both_pass_dtypes(p, n, dtype):
 
 @pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
 def test_walsh_full_peak_memory_stays_near_the_counts(p, n):
-    # the passes run inside the int64 counts; beside them the start's copy of
-    # the table and its block-sized index arrays are traced (about 1.04x and
-    # 1.08x the counts)
+    # the passes run inside one block of 8 bytes per count entry, later shrunk
+    # to the int32 counts; beside it the start's copy of the table and its
+    # block-sized index arrays are traced (about 1.04x and 1.08x the block)
     import tracemalloc
 
     f = _random_field_function(make_field(p, n), np.random.default_rng([47, p]))
     f.gram()  # the field's Gram matrix is cached outside the traced call
     tracemalloc.start()
     try:
-        spec = walsh_full(f)
+        walsh_full(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * spec.counts.nbytes, peak / spec.counts.nbytes
+    block = 8 * p * f.size
+    assert peak <= 1.4 * block, peak / block
+
+
+def test_walsh_full_keeps_only_the_int32_counts():
+    # after the call the block is shrunk to 4 bytes per count entry; nothing
+    # else of the transform stays allocated
+    import tracemalloc
+
+    f = _random_field_function(make_field(7, 7), np.random.default_rng(73))
+    f.gram()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spec = walsh_full(f)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert spec.counts.dtype == np.int32
+    assert kept <= 1.05 * 4 * 7 * f.size, kept / (4 * 7 * f.size)
 
 
 @pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
 def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
-    # no index or digit planes of p^dim entries: the counts, one byte per point
-    # of table and block-sized arrays, at most 1.15x the counts
+    # no index or digit planes of p^dim entries: the block of 8 bytes per count
+    # entry, one byte per point of table and block-sized arrays, at most 1.15x
+    # the block
     import tracemalloc
 
     f = _random_field_function(make_field(p, n), np.random.default_rng([59, p]))
     f.ctx.gram_inverse  # cached on the field outside the traced call
     tracemalloc.start()
     try:
-        spec = walsh_full(f)
+        walsh_full(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.15 * spec.counts.nbytes, peak / spec.counts.nbytes
+    block = 8 * p * f.size
+    assert peak <= 1.15 * block, peak / block
 
 
 @pytest.mark.parametrize("p, n, kind", [(3, 4, "product"), (5, 3, "field"), (131, 1, "product"),
@@ -390,14 +414,75 @@ def test_spectrum_container_validation():
         WalshSpectrum(3, 2, np.zeros((9, 4), dtype=np.int64))
 
 
+def test_spectrum_container_rejects_counts_beyond_p_to_the_dim():
+    counts = np.zeros((9, 3), dtype=np.int64)
+    counts[0, 0], counts[1, 1] = 9, -9  # |entry| = p^dim is admissible
+    spec = WalshSpectrum(3, 2, counts)
+    assert spec.counts.dtype == np.int32 and np.array_equal(spec.counts, counts)
+    # int32 counts, as walsh_full returns them, are taken as they are
+    assert WalshSpectrum(3, 2, spec.counts).counts is spec.counts
+    for bad in (10, -10, 2 ** 31, 2 ** 70):
+        wide = counts.astype(object)
+        wide[4, 1] = bad
+        for arr in (wide, wide.astype(np.int64)) if abs(bad) < 2 ** 63 else (wide,):
+            with pytest.raises(ValueError, match=r"exceeds p\^dim = 9"):
+                WalshSpectrum(3, 2, arr)
+
+
 def test_parseval_check_sums_exactly():
-    ctx = make_field(3, 2)
-    f = PFunction.from_field_table(ctx, np.zeros(9, dtype=int))
-    counts = walsh_full(f).counts.copy()
-    # four rows with |W|^2 = 2^62 add 2^64: an int64 total wraps back to 3^4
-    counts[1:5, 0] = 2 ** 31
+    # at the largest admissible entry m = 3^13, rows (m, m, m) are zero in Z[e]
+    # but lift the first chunk's Gram sums to 2^54, where float64 reads the
+    # total 3^26 as 3^26 - 1: summed exactly the check passes, and fails once
+    # one of those rows ends in m - 1, -e^2 with |W|^2 = 1
+    m = 3 ** 13
+    counts = np.zeros((m, 3), dtype=np.int32)
+    counts[0, 0] = m
+    counts[1 : 1 << 13] = m
+    _check_parseval(WalshSpectrum(3, 13, counts))
+    counts = counts.copy()
+    counts[(1 << 13) - 1, 2] = m - 1
     with pytest.raises(RuntimeError, match="Parseval"):
-        _check_parseval(WalshSpectrum(3, 2, counts))
+        _check_parseval(WalshSpectrum(3, 13, counts))
+    # entries of -2^31, past any admissible domain, are summed in int64 one row
+    # at a time: four rows with |W|^2 = 2^62 add 2^64, which a wrapping int64
+    # total would read as 3^4
+    counts = np.zeros((9, 3), dtype=np.int32)
+    counts[0, 0] = 9
+    counts[1:5, 0] = -2 ** 31
+    with pytest.raises(RuntimeError, match="Parseval"):
+        _check_parseval(SimpleNamespace(p=3, dim=2, counts=counts))
+
+
+class _SliceLengths(np.ndarray):
+    """Counts that record the length of every row slice taken of them."""
+
+    lengths: list = []
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, slice):
+            _SliceLengths.lengths.append(len(out))
+        return out
+
+
+def test_parseval_check_keeps_8192_row_chunks_beside_a_big_row():
+    # a constant table's spectrum at 3^14: W(0) = 3^14 and every other row 0.
+    # A row step from the largest entry of all would be 2^53 // 3^28 = 393
+    # rows; only the chunk holding row 0 needs more than float64
+    m = 3 ** 14
+    for corrupt in (False, True):
+        counts = np.zeros((m, 3), dtype=np.int32)
+        counts[0, 0] = m
+        counts[1, 0] += corrupt
+        spec = WalshSpectrum(3, 14, counts)
+        spec.counts = counts.view(_SliceLengths)
+        _SliceLengths.lengths = []
+        if corrupt:
+            with pytest.raises(RuntimeError, match="Parseval"):
+                _check_parseval(spec)
+        else:
+            _check_parseval(spec)
+        assert set(_SliceLengths.lengths) == {1 << 13, m % (1 << 13)}, corrupt
 
 
 def test_parseval_check_covers_every_row_chunk():
@@ -668,7 +753,7 @@ def test_labels_past_int8_at_p_67():
 
 
 def test_analyze_peak_memory_has_no_row_by_column_temporary():
-    # an (N, p) int64 temporary alone would be 1x the counts
+    # an (N, p) int64 temporary alone would be 8 bytes per count entry
     import tracemalloc
 
     _, spec = _near_bent_and_glued(7, 4, (1, 2, 3, 4, 5, 6, 1))
@@ -679,7 +764,8 @@ def test_analyze_peak_memory_has_no_row_by_column_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * spec.counts.nbytes, peak / spec.counts.nbytes
+    entries8 = 8 * spec.counts.size
+    assert peak < 0.5 * entries8, peak / entries8
 
 
 def _oracle_error(fn, *args) -> str:
