@@ -156,8 +156,9 @@ class WalshSpectrum:
 
     The counts are int32: an entry of a spectrum is at most p^dim in
     magnitude, below 2^31 on every domain check_transform_size accepts.
-    walsh_full's int32 array is taken as it is; any other array is converted
-    only if every |entry| <= p^dim, and ValueError is raised otherwise.
+    An int32 array, such as walsh_full's, is taken as it is; an array of any
+    other dtype is converted only if every |entry| <= p^dim, and ValueError
+    is raised otherwise.
     """
 
     def __init__(self, p: int, dim: int, counts: np.ndarray):
