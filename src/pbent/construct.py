@@ -172,7 +172,8 @@ class AnfPoly:
     """Multivariate polynomial over F_p on dim base-p digit coordinates.
 
     cube[e_{dim-1}, ..., e_0] is the coefficient of prod_i x_i^(e_i); every
-    individual exponent is below p.
+    individual exponent is below p. anf makes the cube read-only, in the
+    least unsigned dtype that holds p - 1, as PFunction.table is.
     """
 
     p: int
@@ -194,7 +195,8 @@ class AnfPoly:
         return out
 
     def value_table(self) -> np.ndarray:
-        """Evaluate back onto the whole domain (inverse of interpolation)."""
+        """Evaluate back onto the whole domain (inverse of interpolation), in
+        the cube's dtype."""
         return _digit_passes(self.cube, _vandermonde(self.p), self.p, self.dim)
 
 
@@ -203,30 +205,32 @@ def _vandermonde(p: int) -> np.ndarray:
 
 
 def _digit_passes(values, mat: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Flat int64 table of mat (p x p over F_p) applied on every digit axis.
+    """Flat table of mat (p x p over F_p) applied on every digit axis, in the
+    least unsigned dtype that holds p - 1.
 
     Each pass is one BLAS product of the (leading digit, rest) transpose
     with mat.T, the new digit appended lowest (Stockham order). Entries stay
     below a bound that grows p(p-1)-fold per pass; they are reduced mod p
     only where the next pass could pass the float type's exact range, and
-    once at the end. Each reduction casts to int64 and takes the remainder
-    in place there, about 4x faster than a float remainder."""
+    once at the end, straight into the narrow table. Each reduction takes
+    the int64 remainder through numpy's buffered casts, about 4x faster than
+    a float remainder and with no int64 copy of the whole array."""
     dtype, limit = (np.float32, 2 ** 24) if p * (p - 1) ** 2 <= 2 ** 24 else (np.float64, 2 ** 53)
     arr = np.asarray(values, dtype=dtype).reshape(-1)
     mat_t = mat.T.astype(dtype)
     bound = p - 1
     for _ in range(dim):
         if bound * p * (p - 1) > limit:
-            arr[...] = _mod_p(arr, p)
+            _mod_p(arr, p, arr)
             bound = p - 1
         arr = np.matmul(arr.reshape(p, -1).T, mat_t).reshape(-1)
         bound *= p * (p - 1)
-    return _mod_p(arr, p)
+    return _mod_p(arr, p, np.empty(arr.size, np.min_scalar_type(p - 1)))
 
 
-def _mod_p(arr: np.ndarray, p: int) -> np.ndarray:
-    ints = arr.astype(np.int64)
-    return np.remainder(ints, p, out=ints)
+def _mod_p(arr: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """arr mod p into out, taken in int64 on the nonnegative integral floats arr."""
+    return np.remainder(arr, p, out=out, dtype=np.int64, casting="unsafe")
 
 
 def anf(f: PFunction) -> AnfPoly:

@@ -38,6 +38,10 @@ class PFunction:
     kind "field":   V = F_{p^n}, table index = element index, dim = n.
     kind "product": V = F_{p^n} x F_p, table index = field_index + p^n * y,
                     dim = n + 1.
+
+    The table is a read-only copy in the least unsigned dtype that holds
+    p - 1 (uint8 up to p = 251, uint16 from 257); input outside 0..p-1 is
+    reduced mod p in int64 first. Widen it before doing arithmetic on it.
     """
 
     def __init__(self, ctx: FieldCtx, table, kind: str = "field"):
@@ -47,13 +51,15 @@ class PFunction:
         self.kind = kind
         self.p = ctx.p
         self.dim = ctx.n + (1 if kind == "product" else 0)
-        arr = np.array(table, dtype=np.int64)  # a copy: the caller's array stays as it is
+        arr = np.asarray(table)
         if arr.shape != (self.p ** self.dim,):
             raise ValueError(
                 f"table must have length {self.p ** self.dim}, got {arr.shape}"
             )
         if arr.min() < 0 or arr.max() >= self.p:
+            arr = arr.astype(np.int64)
             arr %= self.p
+        arr = arr.astype(np.min_scalar_type(self.p - 1))  # a copy: the caller's array stays as it is
         arr.setflags(write=False)
         self.table = arr
 
@@ -198,11 +204,11 @@ def _pass_digits(p: int) -> int:
 
 
 def _transform_bytes(p: int, dim: int) -> int:
-    """Bytes of the transform of p^dim points at its peak: the int64 table, the
-    block of 8 bytes per count entry that holds the float32 passes and is
-    later shrunk to the int32 counts (in float64 a separate cube makes it 16),
-    and the largest pass matrix, counted twice to cover the index arrays of
-    its build."""
+    """Bytes of the transform of p^dim points at its peak: 8 per point for the
+    caller's int64 table, the block of 8 bytes per count entry that holds
+    the float32 passes and is later shrunk to the int32 counts (in float64 a
+    separate cube makes it 16), and the largest pass matrix, counted twice
+    to cover the index arrays of its build."""
     size, d = p ** dim, min(_pass_digits(p), dim)
     item = np.dtype(_pass_dtype(size)).itemsize
     return size * (2 * item * p + 8) + 2 * p ** (2 * d + 1) * (p - 1) * item
@@ -234,8 +240,8 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     at most 2 p^dim in magnitude, so BLAS runs the passes exactly in float32
     up to 2^23 points and in float64 above. The float32 passes run inside
     one block of 8 bytes per count entry, so at its peak the transform holds
-    beside the table that block (16 bytes in float64), its pass matrix and
-    the start's copy of the table, one byte per point. The counts are int32,
+    beside the table that block (16 bytes in float64) and its pass matrix;
+    the start gathers from the table itself. The counts are int32,
     exact because check_transform_size keeps p^dim < 2^31, and the block is
     shrunk in place to them, so the spectrum keeps 4 bytes per entry.
     Checked against walsh_naive_full in the tests; Parseval runs on every
@@ -323,9 +329,9 @@ def _start(f: PFunction, cube: np.ndarray) -> None:
     p, m = f.p, f.dim
     k = max(j for j in range(1, m + 1) if j == 1 or p ** j <= 2 ** 15)
     g, ginv = max(1, k // 2), f._on_domain(f.ctx.gram_inverse)
-    table, rows = f.table.astype(np.min_scalar_type(p - 1)), p * np.arange(p ** k)
+    rows = p * np.arange(p ** k)
     if k == m:
-        cube[rows + table[np.einsum("i,ij->j", p ** np.arange(m), digit_planes(ginv, p))]] = 1
+        cube[rows + f.table[np.einsum("i,ij->j", p ** np.arange(m), digit_planes(ginv, p))]] = 1
         return
     w = p ** np.arange(g)
     sums = np.einsum("i,ij->j", w, digit_planes(np.tile(np.eye(g), 2), p)).reshape(p ** g, -1)
@@ -334,25 +340,33 @@ def _start(f: PFunction, cube: np.ndarray) -> None:
               for a in (ginv[:, :k], ginv[:, k:]))
     for b, block in enumerate(cube.reshape(-1, p ** (k + 1))):
         x = sum((p ** (g * j) * sums[hi[j, b]])[lo[j]] for j in range(len(lo)))
-        block[rows + table[x]] = 1
+        block[rows + f.table[x]] = 1
 
 
 def _check_parseval(spec: WalshSpectrum) -> None:
     """sum_b |W(b)|^2 = p^(2 dim): with gram = counts.T @ counts the total
     has count sum_j gram[j, j - t] at e^t. The Gram is summed exactly over
-    chunks of 8192 rows, each in float64 (BLAS) if its own largest entry
-    keeps the chunk's sums within 2^53, else in int64 over as many rows at a
-    time as keep them below 2^63, and the chunks are added as Python ints."""
+    chunks of 8192 rows, added as Python ints. A canonical chunk (last
+    column zero) whose largest entry keeps its sums within 2^53 has its
+    p - 1 other columns copied into the rows of one reused float64 buffer
+    y, and BLAS takes y @ y.T (it runs the tall product chunk.T @ chunk
+    more slowly). Any other chunk is summed in int64 over all p
+    columns, as many rows at a time as keep the sums below 2^63."""
     p, c = spec.p, spec.counts
-    gram = 0
+    gram = np.zeros((p, p), dtype=object)
+    y = np.empty((p - 1, 1 << 13))
     for i in range(0, len(c), 1 << 13):
         chunk = c[i : i + (1 << 13)]
         big = max(int(chunk.max()), -int(chunk.min()), 1) ** 2
-        dtype, limit = (np.float64, 2 ** 53) if big << 13 <= 2 ** 53 else (np.int64, 2 ** 63 - 1)
-        step = limit // big
+        if big << 13 <= 2 ** 53 and not chunk[:, -1].any():
+            x = y[:, : len(chunk)]
+            np.copyto(x, chunk[:, :-1].T)
+            gram[:-1, :-1] += (x @ x.T).astype(np.int64).astype(object)
+            continue
+        step = (2 ** 63 - 1) // big
         for j in range(0, len(chunk), step):
-            x = chunk[j : j + step].astype(dtype)
-            gram = gram + (x.T @ x).astype(np.int64).astype(object)
+            x = chunk[j : j + step].astype(np.int64)
+            gram += (x.T @ x).astype(object)
     j = np.arange(p)
     total = [sum(gram[j, (j - t) % p]) for t in range(p)]
     expected = [p ** (2 * spec.dim)] + [0] * (p - 1)

@@ -204,7 +204,7 @@ def lagrange_glue_reference(spec: GluedSpec) -> np.ndarray:
     """
     ctx = spec.ctx
     p = ctx.p
-    tables = [g.to_table().table for g in spec.realized]
+    tables = [g.to_table().table.astype(np.int64) for g in spec.realized]
     out = np.empty(p ** (ctx.n + 1), dtype=np.int64)
     for y in range(p):
         acc = np.zeros(ctx.size, dtype=np.int64)
@@ -502,7 +502,7 @@ def polarization_kernel(ctx: FieldCtx, f) -> frozenset:
     over the value table f; the polarization is bilinear, so the basis
     y = x^j suffice."""
     p, n = ctx.p, ctx.n
-    f = np.asarray(f)
+    f = np.asarray(f, dtype=np.int64)
     z, digits = np.arange(ctx.size), digit_array(p, n)
     polar = [f[np.where(digits[:, j] < p - 1, z + p ** j, z - (p - 1) * p ** j)]
              - f[p ** j] - f + f[0] for j in range(n)]

@@ -94,8 +94,8 @@ def test_evaluation_and_kernel_span_match_per_term_oracles(p, n):
 
 
 def test_table_build_peak_stays_near_the_table():
-    # the digit recursion holds the table in one byte per entry, its int64
-    # copy and narrower rows: no (p^n, n) digit array, at most 3x the table
+    # the digit recursion holds the table in one byte per entry, its copy and
+    # narrower rows: no (p^n, n) digit array, at most 24 bytes per point
     import tracemalloc
 
     ctx = make_field(3, 13)
@@ -107,7 +107,7 @@ def test_table_build_peak_stays_near_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table.nbytes, peak / table.nbytes
+    assert peak <= 24 * table.size, peak / table.size
 
 
 def test_scale_and_with_linear():
