@@ -353,7 +353,7 @@ def test_walsh_full_keeps_only_the_int32_counts():
 def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
     # no index or digit planes of p^dim entries: the block of 8 bytes per count
     # entry and block-sized arrays, at most 1.15x the block; the start gathers
-    # from the table itself, which it no longer copies
+    # from the table itself and makes no copy of it
     import tracemalloc
 
     f = _random_field_function(make_field(p, n), np.random.default_rng([59, p]))
@@ -482,6 +482,15 @@ def test_parseval_check_sums_exactly():
     counts[1:5, 0] = -2 ** 31
     with pytest.raises(RuntimeError, match="Parseval"):
         _check_parseval(SimpleNamespace(p=3, dim=2, counts=counts))
+    # a canonical row (3^17, 0, 0) has |W|^2 = 3^34, odd and above 2^53, which
+    # float64 cannot hold: the check passes only if that chunk is summed in int64
+    _check_parseval(SimpleNamespace(p=3, dim=17, counts=np.array([[3 ** 17, 0, 0]], np.int32)))
+    # rows (k, k, k) are zero in Z[e] but not canonical: their last column is
+    # summed too, where leaving it out would read each as -k e^2
+    counts = np.zeros((9, 3), dtype=np.int32)
+    counts[0, 0] = 9
+    counts[1:] = np.arange(1, 9)[:, None]
+    _check_parseval(WalshSpectrum(3, 2, counts))
 
 
 class _SliceLengths(np.ndarray):
@@ -527,8 +536,7 @@ def test_parseval_check_covers_every_row_chunk():
 
 def test_parseval_check_peak_memory_stays_below_four_bytes_per_point():
     # the float64 buffer of the p - 1 canonical columns of one 8192-row chunk
-    # takes 0.74 bytes per point of g3_10 (3^11 points); at 65,536 rows two
-    # float64 chunk copies took 17.8
+    # takes 0.74 bytes per point of g3_10 (3^11 points)
     import tracemalloc
 
     from pbent.construct import arrange, glue
