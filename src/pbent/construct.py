@@ -1,13 +1,14 @@
 """Glueing p near-bent components into one bent function on F_{p^n} x F_p.
 
 The components f_k = c_k * g_k + Tr(b_k x) must share a one-dimensional
-polarization kernel {c * beta} and carry witnesses b_k aligning their values
-on beta so that the k-th Walsh support is shifted into its own coset; the
-supports then partition F_{p^n} and F(x, y) = f_y(x) is bent. Regularity of
-F is decided by whether the discriminant classes eta(Delta_k) of the
-components all agree. Scalars c in F_p^* enter only through the scaling law
-(kernel and beta unchanged, g(beta) times c, eta(Delta) times eta(c)^(n-1)
-at rank n - 1), so the templates g_k are certified once per glueing.
+polarization kernel {c * beta} and carry witnesses b_k aligning f_k(x + beta)
+- f_k(x) = Tr(l_k beta), l_k the linear part, so that the k-th Walsh support
+is shifted into its own coset; the supports then partition F_{p^n} and
+F(x, y) = f_y(x) is bent. Regularity of F is decided by whether the
+discriminant classes eta(Delta_k) of the components all agree. Scalars c in
+F_p^* enter only through the scaling law (kernel and beta unchanged,
+Tr(l beta) times c, eta(Delta) times eta(c)^(n-1) at rank n - 1), so the
+templates g_k are certified once per glueing.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ def templates_from_json(obj: dict) -> tuple:
 def arrange(components, scalars, b_witnesses=None) -> GluedSpec:
     """Validate components and scalars, then compute or check the witnesses.
 
-    When b_witnesses is omitted, b_k = (c_0 g_0(beta) + k - c_k g_k(beta)) * b*
-    with b* the smallest index solving Tr(b* beta) = 1; this always satisfies
-    the alignment condition. Supplied witnesses are checked against it instead.
+    With t_k = Tr(l_k beta) for the linear part l_k of g_k (no constant enters),
+    b_k = (c_0 t_0 + k - c_k t_k) * b* when b_witnesses is omitted, with b* the
+    smallest index solving Tr(b* beta) = 1; this always satisfies the alignment
+    condition. Supplied witnesses are checked against it instead.
     """
     components = tuple(components)
     p = _common_field(components).p
@@ -113,9 +115,10 @@ def _common_field(components: tuple) -> FieldCtx:
 
 def _certify(components: tuple) -> tuple:
     """Certify the templates g_k with one elimination: each is near-bent and
-    all share one kernel. Returns (field, components, beta, b*, the values
-    g_k(beta), the classes eta(Delta(g_k))). As A beta = 0 for the form matrix A,
-    g_k(beta) = Tr(b_k beta) + c_k for the linear part b_k and constant c_k."""
+    all share one kernel. Returns (field, components, beta, b*, Tr(b_k beta)
+    for the linear parts b_k, the classes eta(Delta(g_k))). As A beta = 0 for
+    the form matrix A, g_k(x + beta) - g_k(x) = Tr(b_k beta) sets the coset of
+    g_k's Walsh support; the constant c_k in g_k(beta) does not."""
     certs = certificates(components)
     for k, cert in enumerate(certs):
         if cert.s != 1:
@@ -125,13 +128,13 @@ def _certify(components: tuple) -> tuple:
         raise KernelMismatch("components have different polarization kernels")
     beta, ctx = certs[0].beta, components[0].ctx
     return (ctx, components, beta, solve_trace_equation(ctx, beta, 1),
-            [(ctx.trace(ctx.mul(g.linear, beta)) + g.constant) % ctx.p for g in components],
+            [ctx.trace(ctx.mul(g.linear, beta)) for g in components],
             [c.eta for c in certs])
 
 
 def _assemble(templates: tuple, scalars: tuple, b_witnesses=None) -> GluedSpec:
     """The glueing of certified templates with scalars c_k, by the scaling
-    law: c_k g_k(beta) and eta(c_k)^(n-1) eta(Delta(g_k)) in F_p arithmetic."""
+    law: c_k Tr(l_k beta) and eta(c_k)^(n-1) eta(Delta(g_k)) in F_p arithmetic."""
     ctx, components, beta, bstar, gvals, etas = templates
     p = ctx.p
     gvals = [c * v % p for c, v in zip(scalars, gvals)]

@@ -11,7 +11,8 @@ F_p coordinate; coefficients are exact elements of Z[e].
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -204,11 +205,11 @@ def _pass_digits(p: int) -> int:
 
 
 def _transform_bytes(p: int, dim: int) -> int:
-    """Bytes of the transform of p^dim points at its peak: 8 per point for the
-    caller's int64 table, the block of 8 bytes per count entry that holds
-    the float32 passes and is later shrunk to the int32 counts (in float64 a
-    separate cube makes it 16), and the largest pass matrix, counted twice
-    to cover the index arrays of its build."""
+    """A bound, with room, on the bytes of the transform of p^dim points: 8 per
+    point for the caller's int64 table, twice the block the passes run in (4
+    bytes per count entry in float32, 8 in float64), which leaves room for
+    the chunk buffers, and the largest pass matrix, counted twice to cover
+    the index arrays of its build."""
     size, d = p ** dim, min(_pass_digits(p), dim)
     item = np.dtype(_pass_dtype(size)).itemsize
     return size * (2 * item * p + 8) + 2 * p ** (2 * d + 1) * (p - 1) * item
@@ -231,19 +232,20 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     The pairing is <b, x> = b . (G x) with G its symmetric Gram matrix, so
     W(b) = sum_y e^(h(y) - b . y) for h = f o G^-1: row y of a (p^dim, p)
     count array starts as the unit vector at h(y), gathered from the table a
-    block of rows at a time (_start). Each pass multiplies (the d leading
-    digits k, entry s) by the matrix of e^(-j.k) with rows (k, s) and columns
-    (j, t), d as large as keeps it within 81 rows, and appends j as the lowest
-    digits (Stockham order); row b then counts the y with h(y) - b.y = t. The
-    passes work on canonical rows, e^(p-1) written as -(1 + ... + e^(p-2)),
-    so after the first one only p - 1 columns are carried. A partial sum is
-    at most 2 p^dim in magnitude, so BLAS runs the passes exactly in float32
-    up to 2^23 points and in float64 above. The float32 passes run inside
-    one block of 8 bytes per count entry, so at its peak the transform holds
-    beside the table that block (16 bytes in float64) and its pass matrix;
-    the start gathers from the table itself. The counts are int32,
-    exact because check_transform_size keeps p^dim < 2^31, and the block is
-    shrunk in place to them, so the spectrum keeps 4 bytes per entry.
+    block of rows at a time (_start). Each pass takes a group of d digits,
+    from the lowest upward, and multiplies (digits k, entry s) by the matrix
+    of e^(-j.k) with rows (k, s) and columns (j, t), d as large as keeps it
+    within 81 rows, writing j where k was; row b then counts the y with
+    h(y) - b.y = t. The passes work on canonical rows, e^(p-1) written as
+    -(1 + ... + e^(p-2)), so after the first one only p - 1 columns are
+    carried. A partial sum is at most 2 p^dim in magnitude, so BLAS runs the
+    passes exactly in float32 up to 2^23 points and in float64 above. They
+    run in place, chunk by chunk, inside the block that becomes the counts
+    (4 bytes per entry in float32, 8 in float64), so at its peak the
+    transform holds beside the table that block, two chunk buffers and its
+    pass matrix; the start gathers from the table itself. The counts are
+    int32, exact because check_transform_size keeps p^dim < 2^31, and the
+    block is shrunk in place to them, so the spectrum keeps 4 bytes per entry.
     Checked against walsh_naive_full in the tests; Parseval runs on every
     call.
     """
@@ -280,41 +282,54 @@ def _pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
     return _cached_pass_matrix(p, d, dtype, width)
 
 
+_CHUNK = 1 << 16  # entries a pass, or the final cast, moves at a time
+
+
 def _transform(f: PFunction, dtype) -> np.ndarray:
     """Canonical int32 count rows of walsh_full, with the passes in dtype.
 
-    One block of 8 bytes per count entry is allocated. In float32 it holds
-    every pass array: buf at its bottom, the p-column start cube in its
-    upper half and the (p - 1)-column canonical cube at its top. In float64
-    buf is the block and the start cube, with the canonical cube at its top,
-    a separate array. Each pass copies its input transposed into buf, a row
-    of entries moved as one np.void element, and multiplies buf into the
-    canonical cube. The first pass reads all p columns of the start; the
-    later ones read p - 1, the canonical entry at e^(p-1) being zero. The
-    canonical columns are then cast into the block's first size p int32
-    slots, which lie below the canonical cube in float32 and in the dead buf
-    in float64, the last column is zeroed, and the block is shrunk in place
-    to those slots (resize checks that no view of it is left).
+    One block of size p entries of dtype is allocated (in float32, the int32
+    counts already), and _start writes the unit vectors into it. The digit
+    groups are taken from the lowest upward; rows stay in natural order. A
+    group of d digits splits the rows into (hi, k, lo), and each chunk of at
+    most _CHUNK entries of (hi, lo) slabs is gathered transposed into a reused
+    buffer (a row moved as one np.void), multiplied by the pass matrix into a
+    second one, and its p - 1 canonical columns are scattered back into the
+    same rows. The first pass reads all p columns of the start, the later ones
+    p - 1 (the column at e^(p-1) is stale). The entries are then cast to int32
+    front to back, _CHUNK at a time, into their own slots in float32 and
+    below their sources in float64; the last column is zeroed and the block
+    shrunk in place (resize checks that no view of it is left).
     """
     p, m, size = f.p, f.dim, f.size
-    most = _pass_digits(p)
-    block = np.zeros(2 * size * p, dtype=np.int32)
-    buf = block.view(dtype)
-    cube = buf[size * p :] if dtype == np.float32 else np.zeros(size * p, dtype=dtype)
+    block = np.zeros(size * p * np.dtype(dtype).itemsize // 4, dtype=np.int32)
+    cube = block.view(dtype)
     _start(f, cube)
-    canon, src, width = cube[size:], cube, p
-    for done in range(0, m, most):
-        d = min(most, m - done)
-        row = np.dtype((np.void, width * buf.itemsize))
-        into = buf[: size * width]
-        np.copyto(into.view(row).reshape(-1, p ** d), src.view(row).reshape(p ** d, -1).T)
-        np.matmul(into.reshape(-1, p ** d * width), _pass_matrix(p, d, dtype, width),
-                  out=canon.reshape(-1, p ** d * (p - 1)))
-        src, width = canon, p - 1
-    counts = block[: size * p].reshape(size, p)
-    np.copyto(counts[:, :-1], canon.reshape(size, p - 1), casting="unsafe")
-    counts[:, -1] = 0
-    del buf, cube, canon, src, into, counts
+    most, width = _pass_digits(p), p
+    gather, product = np.empty((2, min(_CHUNK, size * p)), dtype)
+    for low in range(0, m, most):
+        d = min(most, m - low)
+        q, lo = p ** d, p ** low
+        mix = _pass_matrix(p, d, dtype, width)
+        rows = cube.reshape(-1, q, lo, p)
+        src, dst = (rows[..., :w].view(np.dtype((np.void, w * cube.itemsize)))[..., 0]
+                    for w in (width, p - 1))
+        per = _CHUNK // (q * p)  # (hi, lo) pairs a chunk; q p <= 2^16 on every admitted domain
+        step_hi, step_lo = (1, per) if lo >= per else (per // lo, lo)
+        for h, j in itertools.product(range(0, len(rows), step_hi), range(0, lo, step_lo)):
+            hs, ls = slice(h, h + step_hi), slice(j, j + step_lo)
+            slab = src[hs, :, ls].transpose(0, 2, 1)
+            x = gather[: slab.size * width]
+            np.copyto(x.view(src.dtype).reshape(slab.shape), slab)
+            y = product[: slab.size * (p - 1)]
+            np.matmul(x.reshape(-1, q * width), mix, out=y.reshape(-1, q * (p - 1)))
+            np.copyto(dst[hs, :, ls].transpose(0, 2, 1), y.view(dst.dtype).reshape(slab.shape))
+        width = p - 1
+    counts = block[: size * p]
+    for i in range(0, size * p, _CHUNK):
+        np.copyto(counts[i : i + _CHUNK], cube[i : i + _CHUNK], casting="unsafe")
+    counts.reshape(size, p)[:, -1] = 0
+    del cube, counts, rows, src, dst, slab, x, y
     block.resize(size * p)
     return block.reshape(size, p)
 
@@ -387,8 +402,14 @@ class SpectrumReport:
     support_size: int
     classification: str
     zeta: str | None
-    dual: list | None
+    labels: np.ndarray | None = field(repr=False, compare=False)  # row -> distinct shape
+    js: tuple = field(repr=False, compare=False)  # the dual value j of each distinct shape
     class_multiplicities: dict
+
+    @property
+    def dual(self) -> list | None:
+        """The dual value j of every row (None on a zero row), built when read."""
+        return None if self.labels is None else np.array(self.js, dtype=object)[self.labels].tolist()
 
     def to_json(self) -> dict:
         return {
@@ -493,7 +514,7 @@ def _multiplicities(shapes, labels) -> dict:
 
 
 def analyze(spec: WalshSpectrum) -> SpectrumReport:
-    """Flags, classification, dual table and per-shape multiplicities.
+    """Flags, classification, dual values and per-shape multiplicities.
 
     Bent or near-bent is decided on the distinct rows, told apart by packed
     int64 row keys (_classify_rows); their shapes follow from the parity of
@@ -505,9 +526,8 @@ def analyze(spec: WalshSpectrum) -> SpectrumReport:
     try:
         mag, shapes, labels = _classify_rows(p, dim, spec.counts)
     except NotBent:
-        return SpectrumReport(p, dim, False, False, support_size, "NotApplicable", None, None, {})
-    js = np.array([None if s is None else s.j for s in shapes], dtype=object)
-    dual = js[labels].tolist()
+        return SpectrumReport(p, dim, False, False, support_size, "NotApplicable", None, None, (), {})
+    js = tuple(None if s is None else s.j for s in shapes)
     mults = _multiplicities(shapes, labels)
     zetas = {s.zeta for s in shapes if s is not None}
 
@@ -519,7 +539,7 @@ def analyze(spec: WalshSpectrum) -> SpectrumReport:
         classification, zeta = "NonWeaklyRegular", None
 
     return SpectrumReport(
-        p, dim, mag == dim, mag != dim, support_size, classification, zeta, dual, mults
+        p, dim, mag == dim, mag != dim, support_size, classification, zeta, labels, js, mults
     )
 
 

@@ -632,7 +632,8 @@ def scaling_pairs_per_draw(rng) -> list:
 
 def arrange_per_tuple(components, scalars, b_witnesses=None) -> GluedSpec:
     """arrange as first written: certify the p scaled components c_k g_k,
-    evaluate them on beta, and eliminate the realized components once more
+    evaluate them on beta less their constants (g(x + beta) - g(x), as
+    g(0) is the constant), and eliminate the realized components once more
     for their discriminant classes, all for this one scalar tuple."""
     components = tuple(components)
     ctx = components[0].ctx
@@ -654,7 +655,7 @@ def arrange_per_tuple(components, scalars, b_witnesses=None) -> GluedSpec:
         raise KernelMismatch("components have different polarization kernels")
     beta = certs[0].beta
 
-    gvals = [g.evaluate(beta) for g in scaled]
+    gvals = [(g.evaluate(beta) - g.constant) % p for g in scaled]
     if b_witnesses is None:
         bstar = solve_trace_equation(ctx, beta, 1)
         b_witnesses = tuple(

@@ -288,7 +288,7 @@ def _template_groups(p: int, n: int) -> list:
     groups += [(b,) + (near[0],) * (p - 1) for b in other[-1:]]
     groups.append(tuple(near[0].scale(1 + k % (p - 1)).with_linear(k) for k in range(p)))
     # a random near-bent quadratic part under p random linear parts and
-    # constants: the templates' values on beta are Tr(b_k beta) + c_k
+    # constants: the templates are aligned on Tr(b_k beta), whatever c_k
     rng = random.Random(100 * p + n)
     drawn = [QuadraticSpec(ctx, tuple((rng.randrange(1, ctx.size), rng.randrange(n))
                                       for _ in range(2))) for _ in range(40)]
@@ -323,6 +323,40 @@ def test_arrange_equals_the_per_tuple_oracle():
             check(comps[1:], (1,) * (p - 1))
     assert seen == {"WeaklyRegular", "NonWeaklyRegular", "NotNearBent", "KernelMismatch",
                     "WitnessConditionError", "ValueError"}
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(2, 9)] + [(5, n) for n in range(2, 5)]
+                         + [(7, n) for n in range(2, 5)])
+def test_every_accepted_glueing_of_random_templates_is_bent(p, n):
+    # templates with random near-bent quadratic parts under random scalars,
+    # random linear parts and random constants: whatever arrange accepts
+    # glues to a bent function of the predicted regularity
+    ctx = make_field(p, n)
+    rng = random.Random(1000 * p + n)
+    drawn = [QuadraticSpec(ctx, tuple((rng.randrange(1, ctx.size), rng.randrange(n))
+                                      for _ in range(2))) for _ in range(200)]
+    near = [q for q, c in zip(drawn, certificates(drawn)) if c.s == 1][:3]
+    accepted = 0
+    for parts in [(q,) * p for q in near] + [tuple(rng.choices(near, k=p)) for _ in range(3)]:
+        comps = tuple(QuadraticSpec(ctx, q.scale(rng.randrange(1, p)).quad_terms,
+                                    rng.randrange(ctx.size), rng.randrange(p)) for q in parts)
+        try:
+            gs = arrange(comps, [rng.randrange(1, p) for _ in range(p)])
+        except KernelMismatch:
+            continue
+        assert spectral_regularity(gs) == predict_regularity(gs), gs.to_json()
+        accepted += 1
+    assert accepted >= 3
+
+
+@pytest.mark.parametrize("constants", [(1, 0, 0), (0, 1, 0), (0, 0, 2)])
+def test_template_constants_leave_the_example_6_glueing_bent(constants):
+    ctx = make_field(3, 5)
+    g = binomial_spec(ctx, 2, 1, "minus")
+    comps = tuple(QuadraticSpec(ctx, g.quad_terms, g.linear, c) for c in constants)
+    gs = arrange(comps, (1, 2, 1))
+    assert gs.b_witnesses == (0, 2, 1)
+    assert analyze(walsh_full(glue(gs))).classification == "WeaklyRegular"
 
 
 def test_scan_eliminates_once_and_predict_never(monkeypatch):

@@ -13,9 +13,11 @@ from pbent.spectrum import (
     NotBent,
     ShapeMismatch,
     WalshSpectrum,
+    _CHUNK,
     _check_parseval,
     _classify_rows,
     _multiplicities,
+    _pass_digits,
     _pass_dtype,
     _pass_matrix,
     _row_keys,
@@ -216,8 +218,44 @@ def test_both_pass_dtypes_equal_the_roll_transform(dtype):
     for f in funcs:
         counts = _transform(f, dtype)
         assert np.array_equal(counts, walsh_full_rolls(f).counts), (f.p, f.dim)
-        # int32 counts in their own block, shrunk from 8 bytes per entry
+        # int32 counts in their own block, shrunk in place from the pass block
         assert counts.dtype == np.int32 and counts.base.nbytes == counts.nbytes, (f.p, f.dim)
+
+
+def _chunkings(p, dim):
+    """How _transform cuts each pass on p^dim points: ("lo", partial) where
+    one hi's lo rows span several chunks, ("hi", partial) where a chunk holds
+    several whole hi, partial if the pass's last chunk is short."""
+    out = set()
+    for low in range(0, dim, _pass_digits(p)):
+        q, lo = p ** min(_pass_digits(p), dim - low), p ** low
+        per = _CHUNK // (q * p)  # (hi, lo) pairs a chunk
+        hi = p ** dim // (q * lo)
+        if lo > per:
+            out.add(("lo", lo % per != 0))
+        elif hi > per // lo:
+            out.add(("hi", hi % (per // lo) != 0))
+    return out
+
+
+# per p, field and product domains whose passes split one hi's rows over
+# several chunks and put several whole hi in one chunk, each with a short
+# last chunk
+CHUNK_DOMAINS = [(3, 10, "field"), (3, 9, "product"), (7, 5, "field"), (7, 4, "product"),
+                 (11, 4, "field"), (11, 3, "product"), (13, 4, "field"), (13, 3, "product")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_both_pass_dtypes_equal_the_roll_transform_across_chunk_boundaries(dtype):
+    for p in (3, 7, 11, 13):
+        domains = [(n, kind) for q, n, kind in CHUNK_DOMAINS if q == p]
+        assert {kind for _, kind in domains} == {"field", "product"}
+        assert set().union(*(_chunkings(p, n + (kind == "product")) for n, kind in domains)) >= {
+            ("lo", True), ("hi", True)}, p
+    for p, n, kind in CHUNK_DOMAINS:
+        rng = np.random.default_rng([79, p, n])
+        f = PFunction(make_field(p, n), rng.integers(p, size=p ** (n + (kind == "product"))), kind)
+        assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (p, n, kind)
 
 
 def test_size_guard_fires_before_any_allocation():
@@ -234,8 +272,9 @@ def test_size_guard_fires_before_any_allocation():
 
 
 def test_size_guard_counts_eight_bytes_per_float32_entry():
-    # 53^4 = 7,890,481 points run in float32 inside a block of 8 bytes per count entry:
-    # 53 * 8 + 8 = 432 bytes a point, 3.41 GB, and 62 MB for the pass matrix
+    # 53^4 = 7,890,481 points run in float32 inside the 4-byte int32 counts; the
+    # guard counts twice that block, 53 * 8 + 8 = 432 bytes a point, 3.41 GB,
+    # and 62 MB for the pass matrix
     check_transform_size(53, 4)
 
 
@@ -314,9 +353,9 @@ def test_constant_functions_in_both_pass_dtypes(p, n, dtype):
 
 @pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
 def test_walsh_full_peak_memory_stays_near_the_counts(p, n):
-    # the passes run inside one block of 8 bytes per count entry, later shrunk
-    # to the int32 counts; beside it the start's block-sized index arrays are
-    # traced (about 1.03x and 1.04x the block)
+    # the float32 passes run in place inside the int32 counts; beside them the
+    # start's block-sized index arrays, the two chunk buffers and Parseval's
+    # buffer are traced (about 1.054x the counts at 7^7 and 1.077x at 3^13)
     import tracemalloc
 
     f = _random_field_function(make_field(p, n), np.random.default_rng([47, p]))
@@ -327,8 +366,8 @@ def test_walsh_full_peak_memory_stays_near_the_counts(p, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 8 * p * f.size
-    assert peak <= 1.4 * block, peak / block
+    counts = 4 * p * f.size
+    assert peak <= 1.15 * counts, peak / counts
 
 
 def test_walsh_full_keeps_only_the_int32_counts():
@@ -351,9 +390,10 @@ def test_walsh_full_keeps_only_the_int32_counts():
 
 @pytest.mark.parametrize("p, n", [(7, 7), (3, 13)])
 def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
-    # no index or digit planes of p^dim entries: the block of 8 bytes per count
-    # entry and block-sized arrays, at most 1.15x the block; the start gathers
-    # from the table itself and makes no copy of it
+    # no index or digit planes of p^dim entries and no second half-block: the
+    # int32 counts the passes run in and arrays of one start block or chunk,
+    # at most 1.15x the counts; the start gathers from the table itself and
+    # makes no copy of it
     import tracemalloc
 
     f = _random_field_function(make_field(p, n), np.random.default_rng([59, p]))
@@ -364,8 +404,25 @@ def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 8 * p * f.size
-    assert peak <= 1.15 * block, peak / block
+    counts = 4 * p * f.size
+    assert peak <= 1.15 * counts, peak / counts
+
+
+def test_float64_passes_peak_at_twice_the_counts():
+    # above 2^23 points the passes run in place in a block of 8 bytes per count
+    # entry, shrunk to the int32 counts at the end (2.08x measured at 3^13)
+    import tracemalloc
+
+    f = _random_field_function(make_field(3, 13), np.random.default_rng(83))
+    f.ctx.gram_inverse
+    tracemalloc.start()
+    try:
+        _transform(f, np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = 4 * 3 * f.size
+    assert peak <= 2.15 * counts, peak / counts
 
 
 @pytest.mark.parametrize("p, n, kind", [(3, 4, "product"), (5, 3, "field"), (131, 1, "product"),
