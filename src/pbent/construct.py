@@ -93,14 +93,20 @@ def arrange(components, scalars, b_witnesses=None) -> GluedSpec:
     With t_k = Tr(l_k beta) for the linear part l_k of g_k (no constant enters),
     b_k = (c_0 t_0 + k - c_k t_k) * b* when b_witnesses is omitted, with b* the
     smallest index solving Tr(b* beta) = 1; this always satisfies the alignment
-    condition. Supplied witnesses are checked against it instead.
+    condition. Supplied witnesses are checked against it instead. Bentness is
+    then certified on the realized linear parts l'_k: Tr(l'_k beta) = Tr(l'_0 beta) + k.
     """
     components = tuple(components)
-    p = _common_field(components).p
-    scalars = tuple(int(c) % p for c in scalars)
-    if len(scalars) != p or any(c == 0 for c in scalars):
+    ctx = _common_field(components)
+    scalars = tuple(int(c) % ctx.p for c in scalars)
+    if len(scalars) != ctx.p or any(c == 0 for c in scalars):
         raise ValueError("need exactly p nonzero scalars")
-    return _assemble(_certify(components), scalars, b_witnesses)
+    spec = _assemble(_certify(components), scalars, b_witnesses)
+    lv = ctx.gram @ ctx.vector(spec.beta)
+    s = [int(ctx.vector(f.linear) @ lv) for f in spec.realized]
+    if any((s[k] - s[0] - k) % ctx.p for k in range(ctx.p)):
+        raise RuntimeError("the realized components' Walsh supports do not partition the field")
+    return spec
 
 
 def _common_field(components: tuple) -> FieldCtx:

@@ -294,8 +294,8 @@ def _prime_factors(m: int) -> tuple:
 def near_bent_zeta_prediction(spec: QuadraticSpec) -> str:
     """Unimodular factor of the nonzero coefficients of a near-bent quadratic.
 
-    Case split on p mod 4 and the parity of n, with the sign carried by
-    eta(Delta); validated empirically against analyze() in the test suite.
+    W(b) = p e^(kappa - Q(w)) eta(Delta) g^(n-1) on the support, g = gauss_sum(p) being
+    sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4, where zeta gains i^(n-1).
     """
     ctx = spec.ctx
     n, p = ctx.n, ctx.p

@@ -336,26 +336,24 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
 
 def _start(f: PFunction, cube: np.ndarray) -> None:
     """Set row y of the zeroed flat (p^dim, p) cube to the unit vector at
-    h(y) = f(G^-1 y), gathered p^k <= 2^15 rows at a time. Over the k low and
-    m - k high digits of y, G^-1 y = A y_lo + B y_hi: the digits of A y_lo
-    are built once, those of B y_hi per block, and their sum mod p is read
-    g = k // 2 digits at a time from a (p^g, p^g) table of digit-wise sums.
-    No index array has more than p^k entries; a single block is one gather."""
+    h(y) = f(G^-1 y), gathered p^k <= 2^15 rows at a time. G^-1 y = u + v for
+    u = A y_lo (digit planes built once) and v = B y_hi (a digit vector per
+    block) over the k low and m - k high digits of y, and digit-wise mod p
+    idx(u + v) = idx(u) + idx(v) - sum_i p^(i+1) [u_i + v_i >= p]."""
     p, m = f.p, f.dim
     k = max(j for j in range(1, m + 1) if j == 1 or p ** j <= 2 ** 15)
-    g, ginv = max(1, k // 2), f._on_domain(f.ctx.gram_inverse)
+    ginv = f._on_domain(f.ctx.gram_inverse)
     rows = p * np.arange(p ** k)
     if k == m:
         cube[rows + f.table[np.einsum("i,ij->j", p ** np.arange(m), digit_planes(ginv, p))]] = 1
         return
-    w = p ** np.arange(g)
-    sums = np.einsum("i,ij->j", w, digit_planes(np.tile(np.eye(g), 2), p)).reshape(p ** g, -1)
-    ginv = np.pad(ginv, ((0, -m % g), (0, 0)))
-    lo, hi = (np.einsum("i,gij->gj", w, digit_planes(a, p).reshape(len(a) // g, g, -1))
-              for a in (ginv[:, :k], ginv[:, k:]))
-    for b, block in enumerate(cube.reshape(-1, p ** (k + 1))):
-        x = sum((p ** (g * j) * sums[hi[j, b]])[lo[j]] for j in range(len(lo)))
-        block[rows + f.table[x]] = 1
+    lo, w = digit_planes(ginv[:, :k], p), p ** np.arange(m)
+    base = np.einsum("i,ij->j", w, lo)
+    for v, block in zip(digit_planes(ginv[:, k:], p).T, cube.reshape(-1, p ** (k + 1))):
+        x = base + w @ v
+        for i in np.flatnonzero(v):
+            np.subtract(x, p * w[i], out=x, where=lo[i] >= p - v[i])
+        block[np.add(rows, f.table[x], out=x)] = 1
 
 
 def _check_parseval(spec: WalshSpectrum) -> None:

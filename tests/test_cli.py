@@ -164,6 +164,23 @@ def test_construct_spec_file_roundtrip(tmp_path, capsys):
     assert res["classification"] == "WeaklyRegular" and res["zeta"] == "-1"
 
 
+def test_construct_of_a_glueing_that_is_not_bent_exits_3(tmp_path, capsys, monkeypatch):
+    # witness arithmetic broken to give b* = 0: arrange's own check on the
+    # realized linear parts turns the spec into an internal fault, not exit 0
+    from pbent import construct
+
+    out_file = tmp_path / "bent.json"
+    run(capsys, ["construct", "6", "--out", str(out_file)])
+    spec = json.loads(out_file.read_text())["spec"]
+    del spec["b_indices"]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    monkeypatch.setattr(construct, "solve_trace_equation", lambda ctx, beta, t: 0)
+    rc, out, err = run(capsys, ["construct", str(spec_file)])
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: RuntimeError:") and "do not partition" in err
+
+
 def test_construct_rejects_bad_sources(tmp_path, capsys):
     rc, _, err = run(capsys, ["construct", "7"])
     assert rc == 2 and "example id" in err

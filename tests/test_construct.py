@@ -359,6 +359,21 @@ def test_template_constants_leave_the_example_6_glueing_bent(constants):
     assert analyze(walsh_full(glue(gs))).classification == "WeaklyRegular"
 
 
+def test_arrange_certifies_bentness_apart_from_the_witness_arithmetic(monkeypatch):
+    # with b* = 0 every witness is 0, so the example-6 components keep their
+    # zero linear parts and share one Walsh support: the assembled glueing is
+    # not bent, and arrange must say so from the realized linear parts alone
+    from pbent import construct
+
+    monkeypatch.setattr(construct, "solve_trace_equation", lambda ctx, beta, t: 0)
+    g = binomial_spec(make_field(3, 5), 2, 1, "minus")
+    broken = construct._assemble(construct._certify((g, g, g)), (1, 2, 1))
+    assert broken.b_witnesses == (0, 0, 0)
+    assert not analyze(walsh_full(glue(broken))).is_bent
+    with pytest.raises(RuntimeError, match="do not partition"):
+        arrange((g, g, g), (1, 2, 1))
+
+
 def test_scan_eliminates_once_and_predict_never(monkeypatch):
     from pbent import gfpn, quadratic
 

@@ -1,10 +1,11 @@
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pbent.cyclotomic import eta
+from pbent.cyclotomic import CycInt, eta, gauss_sum, match_shape
 from pbent.gfpn import _rref_stack, make_field, rank
 from pbent.quadratic import (
     DegenerateExponents,
@@ -443,6 +444,29 @@ def test_zeta_is_real_for_p_1_mod_4_odd_n():
     assert rep.classification == "WeaklyRegular"
     assert rep.zeta in ("1", "-1")
     assert near_bent_zeta_prediction(q) == rep.zeta
+
+
+def test_zeta_prediction_is_the_gauss_sum_identity(monkeypatch):
+    """On its support a near-bent quadratic has W(b) = p e^(kappa - Q(w))
+    eta(Delta) g^(n-1), g = gauss_sum(p): one factor eta(d_i) g per nonzero
+    diagonal entry of the form, one factor p from the kernel line. Its zeta,
+    computed exactly in Z[e], is the prediction's case split, for every
+    p mod 4, every n - 1 mod 4 and both classes eta(Delta)."""
+    from pbent import quadratic
+
+    cases = 0
+    for p in (3, 5, 7, 11, 13):
+        g = gauss_sum(p)
+        power = CycInt.from_integer(p, 1)
+        for r in range(1, 9):
+            power = power * g
+            for sign in (1, -1):
+                monkeypatch.setattr(quadratic, "delta_eta", lambda spec, sign=sign: sign)
+                w = CycInt.root_power(p, r) * (p * sign) * power  # any e^(kappa - Q(w))
+                spec = SimpleNamespace(ctx=SimpleNamespace(p=p, n=r + 1))
+                assert match_shape(w, r + 2).zeta == near_bent_zeta_prediction(spec), (p, r, sign)
+                cases += 1
+    assert cases == 80
 
 
 def test_circulant_delta_frozen_values():
