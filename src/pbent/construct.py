@@ -217,29 +217,56 @@ def _digit_passes(values, mat: np.ndarray, p: int, dim: int) -> np.ndarray:
     """Flat table of mat (p x p over F_p) applied on every digit axis, in the
     least unsigned dtype that holds p - 1.
 
-    Each pass is one BLAS product of the (leading digit, rest) transpose
-    with mat.T, the new digit appended lowest (Stockham order). Entries stay
-    below a bound that grows p(p-1)-fold per pass; they are reduced mod p
-    only where the next pass could pass the float type's exact range, and
-    once at the end, straight into the narrow table. Each reduction takes
-    the int64 remainder through numpy's buffered casts, about 4x faster than
-    a float remainder and with no int64 copy of the whole array."""
-    dtype, limit = (np.float32, 2 ** 24) if p * (p - 1) ** 2 <= 2 ** 24 else (np.float64, 2 ** 53)
+    Each pass applies the d-fold Kronecker power of mat (mod p) to the d
+    leading digits at once: one BLAS product of the (leading digits, rest)
+    transpose with its transpose, the d new digits appended lowest (Stockham
+    order). d is the largest g with p^g <= 49 (3 at p = 3, 2 at p = 5 and 7,
+    1 from p = 11), or what is left for the last pass; each distinct d's
+    power is built once a call. Entries stay below a bound that grows
+    p^d (p-1)-fold per d-digit pass; they are reduced mod p only where the
+    next pass could pass the float type's exact range, and once at the end,
+    straight into the narrow table."""
+    g = max(d for d in (1, 2, 3) if d == 1 or p ** d <= 49)
+    exact32 = p ** g * (p - 1) ** 2 <= 2 ** 24
+    dtype, limit = (np.float32, 2 ** 24) if exact32 else (np.float64, 2 ** 53)
     arr = np.asarray(values, dtype=dtype).reshape(-1)
-    mat_t = mat.T.astype(dtype)
+    powers = {}
     bound = p - 1
-    for _ in range(dim):
-        if bound * p * (p - 1) > limit:
+    for done in range(0, dim, g):
+        d = min(g, dim - done)
+        if d not in powers:
+            power = mat
+            for _ in range(d - 1):  # np.kron(power, mat) mod p, without its overhead
+                power = (power[:, None, :, None] * mat[None, :, None, :] % p).reshape(
+                    len(power) * p, -1)
+            powers[d] = power.T.astype(dtype)
+        if bound * p ** d * (p - 1) > limit:
             _mod_p(arr, p, arr)
             bound = p - 1
-        arr = np.matmul(arr.reshape(p, -1).T, mat_t).reshape(-1)
-        bound *= p * (p - 1)
+        arr = np.matmul(arr.reshape(p ** d, -1).T, powers[d]).reshape(-1)
+        bound *= p ** d * (p - 1)
     return _mod_p(arr, p, np.empty(arr.size, np.min_scalar_type(p - 1)))
 
 
+_MOD_CHUNK = 1 << 14  # entries _mod_p reduces at a time
+
+
 def _mod_p(arr: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
-    """arr mod p into out, taken in int64 on the nonnegative integral floats arr."""
-    return np.remainder(arr, p, out=out, dtype=np.int64, casting="unsafe")
+    """arr mod p into out (arr itself or a narrow array), on the nonnegative
+    integral floats arr, below 2^24 in float32 and 2^53 in float64.
+
+    Takes x - p floor(x / p) with integer floor division, in int32 for
+    float32 and int64 for float64, through one reused buffer of _MOD_CHUNK
+    entries: numpy divides integers by a scalar about 3x faster than its
+    int64 remainder, and no full-size integer copy is made."""
+    quot = np.empty(min(_MOD_CHUNK, arr.size), np.int32 if arr.dtype == np.float32 else np.int64)
+    for i in range(0, arr.size, _MOD_CHUNK):
+        x = arr[i : i + _MOD_CHUNK]
+        q = quot[: x.size]
+        np.floor_divide(x, p, out=q, dtype=q.dtype, casting="unsafe")
+        q *= -p
+        np.add(q, x, out=out[i : i + _MOD_CHUNK], dtype=q.dtype, casting="unsafe")
+    return out
 
 
 def anf(f: PFunction) -> AnfPoly:

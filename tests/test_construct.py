@@ -10,6 +10,7 @@ from pbent.construct import (
     KernelMismatch,
     NotNearBent,
     WitnessConditionError,
+    _mod_p,
     anf,
     arrange,
     build_example,
@@ -171,20 +172,38 @@ def test_anf_product_domain_degree():
 
 
 def _anf_cases():
-    """Random tables where the float passes reduce mod p mid-loop (3^9, 5^6,
-    7^5, 11^4, 13^3) or only at the end (5^5, 11^3), F_257 (float64 passes),
-    and a glued 3^7 x F_3."""
+    """Random tables, each with whether the float passes reduce mod p between
+    passes. The passes take 3 digits at a time at p = 3 and 2 at p = 5 and 7,
+    so 3^12, 5^7, 7^5, 11^4 and 13^3 reduce mid-loop; 5^5 and 11^3 only at
+    the end. 3^4, 3^7, 5^3 and 7^3 end with a short group of digits. F_257
+    takes float64 passes and the int64 reduction; the glued 3^7 x F_3 is a
+    product domain."""
     rng = np.random.default_rng(59)
-    for p, n in ((3, 9), (5, 5), (5, 6), (7, 5), (11, 3), (11, 4), (13, 3), (257, 1)):
+    for p, n, mid in ((3, 4, False), (3, 7, False), (3, 12, True), (5, 3, False),
+                      (5, 5, False), (5, 7, True), (7, 3, False), (7, 5, True),
+                      (11, 3, False), (11, 4, True), (13, 3, True), (257, 1, False)):
         ctx = make_field(p, n)
-        yield f"{p}^{n}", PFunction.from_field_table(ctx, rng.integers(p, size=ctx.size))
+        yield f"{p}^{n}", PFunction.from_field_table(ctx, rng.integers(p, size=ctx.size)), mid
     g = binomial_spec(make_field(3, 7), 2, 1, "minus")
-    yield "glued 3^7", glue(arrange((g, g, g), (1, 1, 2)))
+    yield "glued 3^7", glue(arrange((g, g, g), (1, 1, 2))), False
 
 
-def test_anf_and_value_table_equal_the_tensordot_oracle():
-    for name, f in _anf_cases():
+def test_anf_and_value_table_equal_the_tensordot_oracle(monkeypatch):
+    from pbent import construct
+
+    calls = []
+
+    def counting_mod_p(arr, p, out):
+        calls.append(arr.dtype)
+        return _mod_p(arr, p, out)
+
+    monkeypatch.setattr(construct, "_mod_p", counting_mod_p)
+    for name, f, mid in _anf_cases():
+        calls.clear()
         poly = anf(f)
+        # one reduction at the end, and more only where the bound needs them
+        assert (len(calls) > 1) == mid, (name, len(calls))
+        assert set(calls) == {np.dtype(np.float64 if f.p == 257 else np.float32)}, name
         cube = anf_tensordot(f)
         assert poly.cube.dtype == np.min_scalar_type(f.p - 1), name
         assert np.array_equal(poly.cube, cube), name
@@ -192,6 +211,45 @@ def test_anf_and_value_table_equal_the_tensordot_oracle():
         assert np.array_equal(poly.value_table(), value_table_tensordot(poly)), name
         nonzero = np.stack(np.nonzero(cube))
         assert poly.degree == nonzero.sum(axis=0).max(), name
+
+
+@pytest.mark.parametrize("size", [1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1])
+@pytest.mark.parametrize("dtype, top", [(np.float32, 2 ** 24 - 1), (np.float64, 2 ** 53 - 1)])
+@pytest.mark.parametrize("p", [3, 7, 13, 257])
+def test_mod_p_equals_the_int64_remainder_at_its_edges(p, dtype, top, size):
+    # every integer up to top is exact in dtype; the reduction runs in blocks
+    # of 2^14 entries, in int32 for float32 and int64 for float64
+    values = np.random.default_rng([p, size]).integers(0, top, size, endpoint=True)
+    edges = [top, 0, top - 1, p - 1, p, top // p * p, top // p * p - 1, 1]
+    values[: len(edges)] = edges[:size]
+    values[-1] = top
+    x = values.astype(dtype)
+    assert np.array_equal(x.astype(np.int64), values)
+    expected = values % p
+    narrow = np.empty(size, np.min_scalar_type(p - 1))
+    assert _mod_p(x, p, narrow) is narrow
+    assert np.array_equal(narrow, expected)
+    assert np.array_equal(x.astype(np.int64), values)  # the input is left as it was
+    assert _mod_p(x, p, x) is x
+    assert x.dtype == dtype and np.array_equal(x, expected)
+
+
+def test_anf_peak_memory_is_the_input_array_and_one_pass_output():
+    # float32 passes: the 4-byte input array and one pass output at 4 bytes per
+    # point (2.0x measured); a full-size int32 temporary in the final reduction
+    # would add 4 more
+    import tracemalloc
+
+    ctx = make_field(3, 13)
+    f = PFunction.from_field_table(ctx, np.random.default_rng(61).integers(3, size=ctx.size))
+    anf(f)
+    tracemalloc.start()
+    try:
+        anf(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 4 * f.size, peak / (4 * f.size)
 
 
 def test_build_example_parameters():

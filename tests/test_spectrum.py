@@ -1024,3 +1024,18 @@ def test_pfunction_json_roundtrip():
     obj["n"] = 7
     with pytest.raises(ValueError):
         PFunction.from_json(obj)
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (3, 9), (7, 5)])
+def test_support_size_counts_the_nonzero_rows_across_its_blocks(p, n):
+    # 3^9 and 7^5 rows span a full block of 2^14 rows and a short one
+    rng = np.random.default_rng([67, p, n])
+    size = p ** n
+    counts = rng.integers(-2, 3, (size, p)) * (rng.random((size, 1)) < 0.5)
+    edge = min(size, 1 << 14)
+    counts[[0, edge - 1, size - 1]] = 0
+    counts[edge - 1, -1] = -1  # nonzero in its last column only
+    counts[size - 1, 0] = 1
+    spec = WalshSpectrum(p, n, counts)
+    assert spec.support_size == np.count_nonzero(counts.any(axis=1))
+    assert type(spec.support_size) is int  # it goes into the JSON payload
