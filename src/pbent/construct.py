@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, exact_ints, field_from_json, field_to_json, invert_matrix, make_field
+from .gfpn import FieldCtx, exact_ints, field_from_json, field_to_json, make_field
 from .gfpn import read_field, solve_trace_equation
 from .quadratic import QuadraticSpec, binomial_spec, certificate, certificates
 from .spectrum import PFunction, analyze, walsh_full
@@ -213,6 +213,12 @@ def _vandermonde(p: int) -> np.ndarray:
     return np.array([[pow(x, e, p) for e in range(p)] for x in range(p)], dtype=np.int64)
 
 
+def _vandermonde_inverse(p: int) -> np.ndarray:
+    """Lagrange: f(x) = sum_a f(a) (1 - (x - a)^(p-1)) and C(p-1, e) = (-1)^e
+    mod p, so entry (e, a) is [e == 0] - a^(p-1-e) mod p, with 0^0 = 1."""
+    return (np.eye(p, 1, dtype=np.int64) - _vandermonde(p)[:, ::-1].T) % p
+
+
 def _digit_passes(values, mat: np.ndarray, p: int, dim: int) -> np.ndarray:
     """Flat table of mat (p x p over F_p) applied on every digit axis, in the
     least unsigned dtype that holds p - 1.
@@ -271,8 +277,7 @@ def _mod_p(arr: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
 
 def anf(f: PFunction) -> AnfPoly:
     """Coordinatewise Lagrange interpolation of the value table."""
-    vinv = invert_matrix(_vandermonde(f.p), f.p)
-    cube = _digit_passes(f.table, vinv, f.p, f.dim).reshape((f.p,) * f.dim)
+    cube = _digit_passes(f.table, _vandermonde_inverse(f.p), f.p, f.dim).reshape((f.p,) * f.dim)
     cube.setflags(write=False)
     return AnfPoly(f.p, f.dim, cube)
 

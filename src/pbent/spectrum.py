@@ -243,15 +243,19 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     of e^(-j.k) with rows (k, s) and columns (j, t), d as large as keeps it
     within 81 rows, writing j where k was; row b then counts the y with
     h(y) - b.y = t. The passes work on canonical rows, e^(p-1) written as
-    -(1 + ... + e^(p-2)), so after the first one only p - 1 columns are
-    carried. A partial sum is at most 2 p^dim in magnitude, so BLAS runs the
-    passes exactly in float32 up to 2^23 points and in float64 above. They
-    run in place, chunk by chunk, inside the block that becomes the counts
-    (4 bytes per entry in float32, 8 in float64), so at its peak the
-    transform holds beside the table that block, two chunk buffers and its
-    pass matrix; the start gathers from the table itself. The counts are
-    int32, exact because check_transform_size keeps p^dim < 2^31, and the
-    block is shrunk in place to them, so the spectrum keeps 4 bytes per entry.
+    -(1 + ... + e^(p-2)): the first one reads the p-wide start rows and
+    writes packed (p^dim, p - 1) rows at the front of the same block, which
+    the later ones carry. A partial sum is at most 2 p^dim in magnitude, so
+    BLAS runs the passes exactly in float32 up to 2^23 points and in float64
+    above. They run in place, chunk by chunk, inside the block that becomes
+    the counts (4 bytes per entry in float32, 8 in float64), so at its peak
+    the transform holds beside the table that block, two chunk buffers and
+    its pass matrix; the start gathers from the table itself. The packed
+    rows are then widened in place to int32 (p^dim, p) rows with a zero last
+    column, back to front in float32 and front to back in float64 (_passes
+    has the order of the writes); int32 is exact because
+    check_transform_size keeps p^dim < 2^31, and the block is shrunk in
+    place to the counts, so the spectrum keeps 4 bytes per entry.
     Checked against walsh_naive_full in the tests; Parseval runs on every
     call.
     """
@@ -295,49 +299,71 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
     """Canonical int32 count rows of walsh_full, with the passes in dtype.
 
     One block of size p entries of dtype is allocated (in float32, the int32
-    counts already), and _start writes the unit vectors into it. The digit
-    groups are taken from the lowest upward; rows stay in natural order. A
-    group of d digits splits the rows into (hi, k, lo), and each chunk of at
-    most _CHUNK entries of (hi, lo) slabs is gathered transposed into a reused
-    buffer (a row moved as one np.void), multiplied by the pass matrix into a
-    second one, and its p - 1 canonical columns are scattered back into the
-    same rows. The first pass reads all p columns of the start, the later ones
-    p - 1 (the column at e^(p-1) is stale). The entries are then cast to int32
-    front to back, _CHUNK at a time, into their own slots in float32 and
-    below their sources in float64; the last column is zeroed and the block
-    shrunk in place (resize checks that no view of it is left).
+    counts already), and _start writes p-wide unit rows into it. The digit
+    groups are taken from the lowest upward; rows stay in natural order. The
+    first group's chunks of whole hi are contiguous runs of p-wide rows in
+    ascending order: each is multiplied by the pass matrix straight from the
+    block, and its p - 1 canonical columns land in packed (p^dim, p - 1) rows
+    at the front. Packed row r starts at r (p - 1) <= r p, so a chunk
+    overwrites only rows already read; the first p - 1 chunks, whose output
+    overlaps their own input, go through a reused product buffer. A later
+    group of d digits splits the packed rows into (hi, k, lo), and each chunk
+    of at most _CHUNK entries of (hi, lo) slabs is gathered transposed into a
+    second reused buffer (a row moved as one np.void), multiplied into the
+    product buffer and scattered back into the same rows. At the end the
+    packed rows are widened to int32 (p^dim, p) rows, _CHUNK // p rows at a
+    time: cast into the gather buffer, copied to their own rows and the last
+    column zeroed. Int32 row r lands at 4 r p bytes, at or above float32 row
+    r at 4 r (p - 1) and at or below float64 row r at 8 r (p - 1), so the
+    widening runs back to front in float32 and front to back in float64.
+    The block is then shrunk in place to the counts (resize checks that no
+    view of it is left; _passes, which holds them all, has returned).
     """
+    block = np.zeros(f.size * f.p * np.dtype(dtype).itemsize // 4, dtype=np.int32)
+    _passes(f, block, dtype)
+    block.resize(f.size * f.p)
+    return block.reshape(f.size, f.p)
+
+
+def _passes(f: PFunction, block: np.ndarray, dtype) -> None:
+    """The start, the passes and the widening of _transform, in the block."""
     p, m, size = f.p, f.dim, f.size
-    block = np.zeros(size * p * np.dtype(dtype).itemsize // 4, dtype=np.int32)
     cube = block.view(dtype)
     _start(f, cube)
-    most, width = _pass_digits(p), p
     gather, product = np.empty((2, min(_CHUNK, size * p)), dtype)
-    for low in range(0, m, most):
+    most, packed = _pass_digits(p), cube[: size * (p - 1)]
+    q = p ** min(most, m)
+    mix = _pass_matrix(p, min(most, m), dtype, p)
+    src, dst = cube.reshape(-1, q * p), packed.reshape(-1, q * (p - 1))
+    per = _CHUNK // (q * p)  # whole hi a chunk; q p <= 2^16 on every admitted domain
+    for h in range(0, len(src), per):
+        x, y = src[h : h + per], dst[h : h + per]
+        z = product[: y.size].reshape(y.shape) if np.may_share_memory(x, y) else y
+        np.matmul(x, mix, out=z)
+        if z is not y:
+            np.copyto(y, z)
+    row = np.dtype((np.void, (p - 1) * cube.itemsize))
+    for low in range(most, m, most):
         d = min(most, m - low)
         q, lo = p ** d, p ** low
-        mix = _pass_matrix(p, d, dtype, width)
-        rows = cube.reshape(-1, q, lo, p)
-        src, dst = (rows[..., :w].view(np.dtype((np.void, w * cube.itemsize)))[..., 0]
-                    for w in (width, p - 1))
-        per = _CHUNK // (q * p)  # (hi, lo) pairs a chunk; q p <= 2^16 on every admitted domain
+        mix = _pass_matrix(p, d, dtype, p - 1)
+        rows = packed.view(row).reshape(-1, q, lo)
+        per = _CHUNK // (q * (p - 1))  # (hi, lo) pairs a chunk
         step_hi, step_lo = (1, per) if lo >= per else (per // lo, lo)
         for h, j in itertools.product(range(0, len(rows), step_hi), range(0, lo, step_lo)):
-            hs, ls = slice(h, h + step_hi), slice(j, j + step_lo)
-            slab = src[hs, :, ls].transpose(0, 2, 1)
-            x = gather[: slab.size * width]
-            np.copyto(x.view(src.dtype).reshape(slab.shape), slab)
-            y = product[: slab.size * (p - 1)]
-            np.matmul(x.reshape(-1, q * width), mix, out=y.reshape(-1, q * (p - 1)))
-            np.copyto(dst[hs, :, ls].transpose(0, 2, 1), y.view(dst.dtype).reshape(slab.shape))
-        width = p - 1
-    counts = block[: size * p]
-    for i in range(0, size * p, _CHUNK):
-        np.copyto(counts[i : i + _CHUNK], cube[i : i + _CHUNK], casting="unsafe")
-    counts.reshape(size, p)[:, -1] = 0
-    del cube, counts, rows, src, dst, slab, x, y
-    block.resize(size * p)
-    return block.reshape(size, p)
+            slab = rows[h : h + step_hi, :, j : j + step_lo].transpose(0, 2, 1)
+            x, y = gather[: slab.size * (p - 1)], product[: slab.size * (p - 1)]
+            np.copyto(x.view(row).reshape(slab.shape), slab)
+            np.matmul(x.reshape(-1, q * (p - 1)), mix, out=y.reshape(-1, q * (p - 1)))
+            np.copyto(slab, y.view(row).reshape(slab.shape))
+    counts, cast = block[: size * p].reshape(size, p), gather.view(np.int32)
+    wide = counts[:, :-1].view(np.dtype((np.void, 4 * (p - 1))))[:, 0]
+    per, starts = _CHUNK // p, range(0, size, _CHUNK // p)
+    for a in reversed(starts) if dtype == np.float32 else starts:
+        x = packed[a * (p - 1) : (a + per) * (p - 1)]
+        np.copyto(cast[: x.size], x, casting="unsafe")
+        np.copyto(wide[a : a + per], cast[: x.size].view(wide.dtype))
+        counts[a : a + per, -1] = 0
 
 
 def _start(f: PFunction, cube: np.ndarray) -> None:

@@ -11,6 +11,8 @@ from pbent.construct import (
     NotNearBent,
     WitnessConditionError,
     _mod_p,
+    _vandermonde,
+    _vandermonde_inverse,
     anf,
     arrange,
     build_example,
@@ -211,6 +213,27 @@ def test_anf_and_value_table_equal_the_tensordot_oracle(monkeypatch):
         assert np.array_equal(poly.value_table(), value_table_tensordot(poly)), name
         nonzero = np.stack(np.nonzero(cube))
         assert poly.degree == nonzero.sum(axis=0).max(), name
+
+
+def test_vandermonde_inverse_is_the_rref_inverse_for_every_odd_prime_to_257(monkeypatch):
+    from pbent import construct, gfpn
+
+    primes = [p for p in range(3, 258, 2) if all(p % d for d in range(3, p, 2))]
+    assert len(primes) == 54 and primes[-1] == 257
+    for p in primes:
+        vinv = _vandermonde_inverse(p)
+        assert vinv.dtype == np.int64, p
+        assert np.array_equal(vinv, gfpn.invert_matrix(_vandermonde(p), p)), p
+    # anf takes the closed form: no rref inverse, even at F_257
+    f = PFunction.from_field_table(make_field(257, 1), np.random.default_rng(257).permutation(257))
+    expected = anf_tensordot(f)
+
+    def no_inverse(mat, p):
+        raise AssertionError("inverted the Vandermonde matrix by rref")
+
+    monkeypatch.setattr(gfpn, "invert_matrix", no_inverse)
+    monkeypatch.setattr(construct, "invert_matrix", no_inverse, raising=False)
+    assert np.array_equal(anf(f).cube, expected)
 
 
 @pytest.mark.parametrize("size", [1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1])

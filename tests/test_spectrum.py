@@ -223,13 +223,15 @@ def test_both_pass_dtypes_equal_the_roll_transform(dtype):
 
 
 def _chunkings(p, dim):
-    """How _transform cuts each pass on p^dim points: ("lo", partial) where
-    one hi's lo rows span several chunks, ("hi", partial) where a chunk holds
-    several whole hi, partial if the pass's last chunk is short."""
+    """How _passes cuts each pass on p^dim points: ("lo", partial) where one
+    hi's lo rows span several chunks, ("hi", partial) where a chunk holds
+    several whole hi, partial if the pass's last chunk is short. The first
+    pass (lo = 1) takes contiguous runs of whole hi of p-wide rows, the later
+    ones (hi, lo) slabs of packed (p - 1)-wide rows."""
     out = set()
     for low in range(0, dim, _pass_digits(p)):
         q, lo = p ** min(_pass_digits(p), dim - low), p ** low
-        per = _CHUNK // (q * p)  # (hi, lo) pairs a chunk
+        per = _CHUNK // (q * (p if low == 0 else p - 1))  # (hi, lo) pairs a chunk
         hi = p ** dim // (q * lo)
         if lo > per:
             out.add(("lo", lo % per != 0))
@@ -250,12 +252,34 @@ def test_both_pass_dtypes_equal_the_roll_transform_across_chunk_boundaries(dtype
     for p in (3, 7, 11, 13):
         domains = [(n, kind) for q, n, kind in CHUNK_DOMAINS if q == p]
         assert {kind for _, kind in domains} == {"field", "product"}
-        assert set().union(*(_chunkings(p, n + (kind == "product")) for n, kind in domains)) >= {
-            ("lo", True), ("hi", True)}, p
+        for kind in ("field", "product"):
+            assert set().union(*(_chunkings(p, n + (kind == "product"))
+                                 for n, k in domains if k == kind)) >= {
+                ("lo", True), ("hi", True)}, (p, kind)
     for p, n, kind in CHUNK_DOMAINS:
         rng = np.random.default_rng([79, p, n])
         f = PFunction(make_field(p, n), rng.integers(p, size=p ** (n + (kind == "product"))), kind)
         assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (p, n, kind)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_rows_equal_the_roll_transform_across_many_chunk_boundaries(dtype, monkeypatch):
+    # with 2^9-entry chunks (q p <= 2^9 up to p = 19) every pass of these small
+    # domains has three chunks or more: the first pass's compaction, both
+    # through the product buffer and straight into the packed rows, each later
+    # pass, and the widening to p-wide rows, back to front in float32 and front
+    # to back in float64
+    from pbent import spectrum
+
+    monkeypatch.setattr(spectrum, "_CHUNK", 1 << 9)
+    for p, n in ((3, 7), (5, 4), (7, 3), (11, 2), (13, 2), (17, 2), (19, 2)):
+        ctx = make_field(p, n)
+        for kind in ("field", "product"):
+            size = p ** (n + (kind == "product"))
+            dim = n + (kind == "product")
+            assert p ** (min(_pass_digits(p), dim) + 1) <= spectrum._CHUNK < size * (p - 1) / 2
+            f = PFunction(ctx, np.random.default_rng([101, p, n]).integers(p, size=size), kind)
+            assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (p, n, kind)
 
 
 def test_size_guard_fires_before_any_allocation():
