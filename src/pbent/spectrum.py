@@ -292,7 +292,7 @@ def _pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
     return _cached_pass_matrix(p, d, dtype, width)
 
 
-_CHUNK = 1 << 16  # entries a pass, or the final cast, moves at a time
+_CHUNK = 1 << 16  # entries a pass, or the widening, moves at a time
 
 
 def _transform(f: PFunction, dtype) -> np.ndarray:
