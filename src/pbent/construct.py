@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import eta
-from .gfpn import FieldCtx, exact_ints, field_from_json, field_to_json, make_field
+from .gfpn import FieldCtx, exact_float, exact_ints, field_from_json, field_to_json, make_field
 from .gfpn import read_field, solve_trace_equation
 from .quadratic import QuadraticSpec, binomial_spec, certificate, certificates
 from .spectrum import PFunction, analyze, walsh_full
@@ -196,13 +196,6 @@ class AnfPoly:
             digit_sum = digit_sum[..., None] + np.arange(self.p, dtype=np.int16)
         return int(np.max(digit_sum, where=self.cube != 0, initial=0))
 
-    def coefficients(self) -> dict:
-        """Sparse map from digit-ordered exponent tuples to coefficients."""
-        out = {}
-        for idx in zip(*np.nonzero(self.cube)):
-            out[tuple(int(e) for e in reversed(idx))] = int(self.cube[idx])
-        return out
-
     def value_table(self) -> np.ndarray:
         """Evaluate back onto the whole domain (inverse of interpolation), in
         the cube's dtype."""
@@ -229,12 +222,14 @@ def _digit_passes(values, mat: np.ndarray, p: int, dim: int) -> np.ndarray:
     order). d is the largest g with p^g <= 49 (3 at p = 3, 2 at p = 5 and 7,
     1 from p = 11), or what is left for the last pass; each distinct d's
     power is built once a call. Entries stay below a bound that grows
-    p^d (p-1)-fold per d-digit pass; they are reduced mod p only where the
-    next pass could pass the float type's exact range, and once at the end,
-    straight into the narrow table."""
+    p^d (p-1)-fold per d-digit pass. The dtype is exact_float's for one
+    g-digit pass on reduced entries, p^g (p-1)^2 (float64 at worst for
+    every p whose p x p matrix fits in memory); entries are reduced mod p
+    only where the next pass could leave its exact range, and once at the
+    end, straight into the narrow table."""
     g = max(d for d in (1, 2, 3) if d == 1 or p ** d <= 49)
-    exact32 = p ** g * (p - 1) ** 2 <= 2 ** 24
-    dtype, limit = (np.float32, 2 ** 24) if exact32 else (np.float64, 2 ** 53)
+    dtype = exact_float(p ** g * (p - 1) ** 2)
+    limit = 2 ** (np.finfo(dtype).nmant + 1)
     arr = np.asarray(values, dtype=dtype).reshape(-1)
     powers = {}
     bound = p - 1
@@ -259,7 +254,7 @@ _MOD_CHUNK = 1 << 14  # entries _mod_p reduces at a time
 
 def _mod_p(arr: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     """arr mod p into out (arr itself or a narrow array), on the nonnegative
-    integral floats arr, below 2^24 in float32 and 2^53 in float64.
+    integral floats arr, within the exact range of their dtype.
 
     Takes x - p floor(x / p) with integer floor division, in int32 for
     float32 and int64 for float64, through one reused buffer of _MOD_CHUNK

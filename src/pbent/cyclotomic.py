@@ -126,14 +126,6 @@ class CycInt:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.counts)
 
-    def is_rational_integer(self) -> bool:
-        return all(c == 0 for c in self.counts[1:])
-
-    def as_integer(self) -> int:
-        if not self.is_rational_integer():
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.counts[0]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = CycInt.from_integer(self.p, other)
@@ -146,13 +138,6 @@ class CycInt:
 
     def __repr__(self) -> str:
         return f"CycInt(p={self.p}, counts={list(self.counts)})"
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "counts": list(self.counts)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycInt":
-        return cls(int(obj["p"]), obj["counts"])
 
 
 def eta(p: int, c: int) -> int:
@@ -207,9 +192,6 @@ class ValueShape:
         if self.uses_gauss_sum:
             v = v * gauss_sum(self.p)
         return v * CycInt.root_power(self.p, self.j)
-
-    def to_json(self) -> dict:
-        return {"zeta": self.zeta, "j": self.j, "log_p_magnitude_x2": self.mag_exponent}
 
 
 @lru_cache(maxsize=None)

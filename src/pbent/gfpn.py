@@ -84,6 +84,15 @@ def digit_planes(mat: np.ndarray, p: int) -> np.ndarray:
     return planes
 
 
+def exact_float(bound: int):
+    """The narrower float dtype that holds every integer up to bound in
+    magnitude exactly: float32 up to 2^24, float64 up to 2^53, None above
+    (an int64 path)."""
+    if bound <= 2 ** 24:
+        return np.float32
+    return np.float64 if bound <= 2 ** 53 else None
+
+
 # ---------------------------------------------------------------------------
 
 

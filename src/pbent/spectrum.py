@@ -18,7 +18,7 @@ import numpy as np
 
 from .cyclotomic import CycInt, ValueShape, match_shape
 from .gfpn import FieldCtx, digit_array, digit_planes, field_from_json, field_to_json
-from .gfpn import exact_ints, read_field
+from .gfpn import exact_float, exact_ints, read_field
 
 
 class ShapeMismatch(RuntimeError):
@@ -78,9 +78,6 @@ class PFunction:
     @property
     def size(self) -> int:
         return self.p ** self.dim
-
-    def value(self, x: int) -> int:
-        return int(self.table[x])
 
     def split_index(self, a: int) -> tuple[int, int]:
         """(field part, F_p part); the F_p part is 0 on field domains."""
@@ -198,26 +195,20 @@ class WalshSpectrum:
         return total
 
 
-def _pass_dtype(size: int):
-    """float32 while every partial sum of a pass is exact in it. A canonical
-    entry is a difference of two counts, so a partial sum stays within
-    2 p^dim in magnitude: float32 up to 2^23 points, float64 above."""
-    return np.float32 if 2 * size <= 2 ** 24 else np.float64
-
-
 def _pass_digits(p: int) -> int:
-    """Digits per pass: as many as keep the first pass matrix within 81 rows, at least one."""
-    return max(d for d in (1, 2, 3) if d == 1 or p ** (d + 1) <= 81)
+    """Digits per pass: as many as keep the pass matrix within 81 rows, at least one."""
+    return max(d for d in (1, 2, 3) if d == 1 or p ** d * (p - 1) <= 81)
 
 
 def _transform_bytes(p: int, dim: int) -> int:
     """A bound, with room, on the bytes of the transform of p^dim points: 8 per
     point for the caller's int64 table, twice the block the passes run in (4
     bytes per count entry in float32, 8 in float64), which leaves room for
-    the chunk buffers, and the largest pass matrix, counted twice to cover
-    the index arrays of its build."""
+    the chunk buffers, and p^(2d+1) (p - 1) entries for the largest pass
+    matrix, p^d (p - 1) square, counted twice to cover the index arrays of
+    its build."""
     size, d = p ** dim, min(_pass_digits(p), dim)
-    item = np.dtype(_pass_dtype(size)).itemsize
+    item = np.dtype(exact_float(2 * size)).itemsize
     return size * (2 * item * p + 8) + 2 * p ** (2 * d + 1) * (p - 1) * item
 
 
@@ -236,48 +227,38 @@ def walsh_full(f: PFunction) -> WalshSpectrum:
     """Exact spectrum via the dimension-factorized character transform.
 
     The pairing is <b, x> = b . (G x) with G its symmetric Gram matrix, so
-    W(b) = sum_y e^(h(y) - b . y) for h = f o G^-1: row y of a (p^dim, p)
-    count array starts as the unit vector at h(y), gathered from the table a
-    block of rows at a time (_start). Each pass takes a group of d digits,
-    from the lowest upward, and multiplies (digits k, entry s) by the matrix
-    of e^(-j.k) with rows (k, s) and columns (j, t), d as large as keeps it
-    within 81 rows, writing j where k was; row b then counts the y with
-    h(y) - b.y = t. The passes work on canonical rows, e^(p-1) written as
-    -(1 + ... + e^(p-2)): the first one reads the p-wide start rows and
-    writes packed (p^dim, p - 1) rows at the front of the same block, which
-    the later ones carry. A partial sum is at most 2 p^dim in magnitude, so
-    BLAS runs the passes exactly in float32 up to 2^23 points and in float64
-    above. They run in place, chunk by chunk, inside the block that becomes
-    the counts (4 bytes per entry in float32, 8 in float64), so at its peak
-    the transform holds beside the table that block, two chunk buffers and
-    its pass matrix; the start gathers from the table itself. The packed
-    rows are then widened in place to int32 (p^dim, p) rows with a zero last
-    column, back to front in float32 and front to back in float64 (_passes
-    has the order of the writes); int32 is exact because
-    check_transform_size keeps p^dim < 2^31, and the block is shrunk in
-    place to the counts, so the spectrum keeps 4 bytes per entry.
-    Checked against walsh_naive_full in the tests; Parseval runs on every
-    call.
+    W(b) = sum_y e^(h(y) - b . y) for h = f o G^-1. Row y of the count array
+    starts as e^h(y) and each pass takes a group of d digits, from the
+    lowest upward, and multiplies (digits k, entry s) by the matrix of
+    e^(-j.k) with rows (k, s) and columns (j, t), writing j where k was; row
+    b then counts the y with h(y) - b.y = t. The rows are canonical,
+    e^(p-1) written as -(1 + ... + e^(p-2)), so a partial sum is at most
+    2 p^dim in magnitude and BLAS runs the passes exactly in the float dtype
+    exact_float picks for it: float32 up to 2^23 points, float64 above. The
+    result is int32 (p^dim, p) rows with a zero last column, exact because
+    check_transform_size keeps p^dim < 2^31; _transform runs the passes in
+    place in the block that becomes the counts. Checked against
+    walsh_naive_full in the tests; Parseval runs on every call.
     """
     check_transform_size(f.p, f.dim)
-    spec = WalshSpectrum(f.p, f.dim, _transform(f, _pass_dtype(f.size)))
+    spec = WalshSpectrum(f.p, f.dim, _transform(f, exact_float(2 * f.size)))
     _check_parseval(spec)
     return spec
 
 
-def _build_pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
-    """Read-only pass matrix for input rows s < width and canonical output
-    columns t < p - 1: row (k, s) has 1 at column (j, s - j.k) where that is
-    below p - 1, else -1 at every (j, t). Built from the (p^d, width, p^d)
-    hit columns, so no temporary is larger than the matrix itself."""
+def _build_pass_matrix(p: int, d: int, dtype) -> np.ndarray:
+    """Read-only pass matrix on canonical rows and columns s, t < p - 1: row
+    (k, s) has 1 at column (j, s - j.k) where that is below p - 1, else -1
+    at every (j, t). Built from the (p^d, p - 1, p^d) hit columns, so no
+    temporary is larger than the matrix itself."""
     digits = digit_array(p, d)
-    hit = (np.arange(width)[None, :, None] - (digits @ digits.T)[:, None, :]) % p
+    hit = (np.arange(p - 1)[None, :, None] - (digits @ digits.T)[:, None, :]) % p
     hit = hit.reshape(-1)
     mix = np.zeros((len(hit), p - 1), dtype=dtype)
     mix[hit == p - 1] = -1
     rows = np.flatnonzero(hit < p - 1)
     mix[rows, hit[rows]] = 1
-    mix = mix.reshape(p ** d * width, p ** d * (p - 1))
+    mix = mix.reshape(p ** d * (p - 1), p ** d * (p - 1))
     mix.setflags(write=False)
     return mix
 
@@ -285,11 +266,11 @@ def _build_pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
 _cached_pass_matrix = functools.lru_cache(maxsize=None)(_build_pass_matrix)
 
 
-def _pass_matrix(p: int, d: int, dtype, width: int) -> np.ndarray:
+def _pass_matrix(p: int, d: int, dtype) -> np.ndarray:
     """The pass matrix, cached up to 81 rows; larger ones (p >= 11) are built per call."""
-    if p ** d * width > 81:
-        return _build_pass_matrix(p, d, dtype, width)
-    return _cached_pass_matrix(p, d, dtype, width)
+    if p ** d * (p - 1) > 81:
+        return _build_pass_matrix(p, d, dtype)
+    return _cached_pass_matrix(p, d, dtype)
 
 
 _CHUNK = 1 << 16  # entries a pass, or the widening, moves at a time
@@ -299,27 +280,22 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
     """Canonical int32 count rows of walsh_full, with the passes in dtype.
 
     One block of size p entries of dtype is allocated (in float32, the int32
-    counts already), and _start writes p-wide unit rows into it. The digit
-    groups are taken from the lowest upward; rows stay in natural order. The
-    first group's chunks of whole hi are contiguous runs of p-wide rows in
-    ascending order: each is multiplied by the pass matrix straight from the
-    block, and its p - 1 canonical columns land in packed (p^dim, p - 1) rows
-    at the front. Packed row r starts at r (p - 1) <= r p, so a chunk
-    overwrites only rows already read; the first p - 1 chunks, whose output
-    overlaps their own input, go through a reused product buffer. A later
-    group of d digits splits the packed rows into (hi, k, lo), and each chunk
-    of at most _CHUNK entries of (hi, lo) slabs is gathered transposed into a
-    second reused buffer (a row moved as one np.void), multiplied into the
-    product buffer and scattered back into the same rows. At the end the
-    packed rows are widened to int32 (p^dim, p) rows, _CHUNK // p rows at a
-    time: cast into the gather buffer, copied to their own rows and the last
-    column zeroed. Int32 row r lands at 4 r p bytes, at or above float32 row
-    r at 4 r (p - 1) and at or below float64 row r at 8 r (p - 1), so the
-    widening runs back to front in float32 and front to back in float64.
-    The block is then shrunk in place to the counts (resize checks that no
-    view of it is left; _passes, which holds them all, has returned).
+    counts already), and _start writes packed (p^dim, p - 1) canonical rows
+    at its front. The digit groups are taken from the lowest upward; rows
+    stay in natural order. A group of d digits splits the packed rows into
+    (hi, k, lo), and each chunk of at most _CHUNK entries of (hi, lo) slabs
+    is gathered transposed into a reused buffer (a row moved as one np.void),
+    multiplied into a second one and scattered back into the same rows. At
+    the end the packed rows are widened to int32 (p^dim, p) rows, _CHUNK // p
+    rows at a time: cast into the gather buffer, copied to their own rows and
+    the last column zeroed. Int32 row r lands at 4 r p bytes, at or above
+    float32 row r at 4 r (p - 1) and at or below float64 row r at
+    8 r (p - 1), so the widening runs back to front in float32 and front to
+    back in float64. The block is then shrunk in place to the counts (resize
+    checks that no view of it is left; _passes, which holds them all, has
+    returned).
     """
-    block = np.zeros(f.size * f.p * np.dtype(dtype).itemsize // 4, dtype=np.int32)
+    block = np.empty(f.size * f.p * np.dtype(dtype).itemsize // 4, dtype=np.int32)
     _passes(f, block, dtype)
     block.resize(f.size * f.p)
     return block.reshape(f.size, f.p)
@@ -328,25 +304,14 @@ def _transform(f: PFunction, dtype) -> np.ndarray:
 def _passes(f: PFunction, block: np.ndarray, dtype) -> None:
     """The start, the passes and the widening of _transform, in the block."""
     p, m, size = f.p, f.dim, f.size
-    cube = block.view(dtype)
-    _start(f, cube)
-    gather, product = np.empty((2, min(_CHUNK, size * p)), dtype)
-    most, packed = _pass_digits(p), cube[: size * (p - 1)]
-    q = p ** min(most, m)
-    mix = _pass_matrix(p, min(most, m), dtype, p)
-    src, dst = cube.reshape(-1, q * p), packed.reshape(-1, q * (p - 1))
-    per = _CHUNK // (q * p)  # whole hi a chunk; q p <= 2^16 on every admitted domain
-    for h in range(0, len(src), per):
-        x, y = src[h : h + per], dst[h : h + per]
-        z = product[: y.size].reshape(y.shape) if np.may_share_memory(x, y) else y
-        np.matmul(x, mix, out=z)
-        if z is not y:
-            np.copyto(y, z)
-    row = np.dtype((np.void, (p - 1) * cube.itemsize))
-    for low in range(most, m, most):
+    packed = block.view(dtype)[: size * (p - 1)]
+    _start(f, packed)
+    gather, product = np.empty((2, min(_CHUNK, size * (p - 1))), dtype)
+    most, row = _pass_digits(p), np.dtype((np.void, (p - 1) * packed.itemsize))
+    for low in range(0, m, most):
         d = min(most, m - low)
         q, lo = p ** d, p ** low
-        mix = _pass_matrix(p, d, dtype, p - 1)
+        mix = _pass_matrix(p, d, dtype)
         rows = packed.view(row).reshape(-1, q, lo)
         per = _CHUNK // (q * (p - 1))  # (hi, lo) pairs a chunk
         step_hi, step_lo = (1, per) if lo >= per else (per // lo, lo)
@@ -366,26 +331,33 @@ def _passes(f: PFunction, block: np.ndarray, dtype) -> None:
         counts[a : a + per, -1] = 0
 
 
-def _start(f: PFunction, cube: np.ndarray) -> None:
-    """Set row y of the zeroed flat (p^dim, p) cube to the unit vector at
-    h(y) = f(G^-1 y), gathered p^k <= 2^15 rows at a time. G^-1 y = u + v for
-    u = A y_lo (digit planes built once) and v = B y_hi (a digit vector per
-    block) over the k low and m - k high digits of y, and digit-wise mod p
-    idx(u + v) = idx(u) + idx(v) - sum_i p^(i+1) [u_i + v_i >= p]."""
+def _start(f: PFunction, packed: np.ndarray) -> None:
+    """Set row y of the flat (p^dim, p - 1) packed rows to the canonical
+    e^h(y), h(y) = f(G^-1 y): the unit vector at h(y), or all -1 at
+    h(y) = p - 1, taken from a p x (p - 1) table p^k <= 2^15 rows at a time.
+    G^-1 y = u + v for u = A y_lo (digit planes built once) and v = B y_hi
+    (a digit vector per block) over the k low and m - k high digits of y,
+    and digit-wise mod p idx(u + v) = idx(u) + idx(v) - sum_i p^(i+1)
+    [u_i + v_i >= p]. PFunction keeps f.table below p, so np.take runs with
+    mode="clip", which writes straight into out (the default "raise"
+    buffers it)."""
     p, m = f.p, f.dim
     k = max(j for j in range(1, m + 1) if j == 1 or p ** j <= 2 ** 15)
     ginv = f._on_domain(f.ctx.gram_inverse)
-    rows = p * np.arange(p ** k)
+    unit = np.eye(p, p - 1, dtype=packed.dtype)
+    unit[-1] = -1
+    blocks = packed.reshape(-1, p ** k, p - 1)
     if k == m:
-        cube[rows + f.table[np.einsum("i,ij->j", p ** np.arange(m), digit_planes(ginv, p))]] = 1
+        x = np.einsum("i,ij->j", p ** np.arange(m), digit_planes(ginv, p))
+        np.take(unit, f.table[x], axis=0, out=blocks[0], mode="clip")
         return
     lo, w = digit_planes(ginv[:, :k], p), p ** np.arange(m)
     base = np.einsum("i,ij->j", w, lo)
-    for v, block in zip(digit_planes(ginv[:, k:], p).T, cube.reshape(-1, p ** (k + 1))):
+    for v, block in zip(digit_planes(ginv[:, k:], p).T, blocks):
         x = base + w @ v
         for i in np.flatnonzero(v):
             np.subtract(x, p * w[i], out=x, where=lo[i] >= p - v[i])
-        block[np.add(rows, f.table[x], out=x)] = 1
+        np.take(unit, f.table[x], axis=0, out=block, mode="clip")
 
 
 def _check_parseval(spec: WalshSpectrum) -> None:
@@ -403,7 +375,7 @@ def _check_parseval(spec: WalshSpectrum) -> None:
     for i in range(0, len(c), 1 << 13):
         chunk = c[i : i + (1 << 13)]
         big = max(int(chunk.max()), -int(chunk.min()), 1) ** 2
-        if big << 13 <= 2 ** 53 and not chunk[:, -1].any():
+        if exact_float(big << 13) is not None and not chunk[:, -1].any():
             x = y[:, : len(chunk)]
             np.copyto(x, chunk[:, :-1].T)
             gram[:-1, :-1] += (x @ x.T).astype(np.int64).astype(object)

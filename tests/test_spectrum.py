@@ -6,7 +6,7 @@ import pytest
 
 from pbent.construct import anf
 from pbent.cyclotomic import CycInt, match_shape
-from pbent.gfpn import digit_array, make_field
+from pbent.gfpn import digit_array, exact_float, make_field
 from pbent.quadratic import QuadraticSpec, binomial_spec
 from pbent.spectrum import (
     PFunction,
@@ -18,7 +18,6 @@ from pbent.spectrum import (
     _classify_rows,
     _multiplicities,
     _pass_digits,
-    _pass_dtype,
     _pass_matrix,
     _row_keys,
     _start,
@@ -106,7 +105,7 @@ def test_product_stacking_order():
     f = PFunction.from_product_tables(ctx, tables)
     for y in range(3):
         for x in range(9):
-            assert f.value(x + 9 * y) == y
+            assert f.table[x + 9 * y] == y
             assert f.split_index(x + 9 * y) == (x, y)
 
 
@@ -225,13 +224,12 @@ def test_both_pass_dtypes_equal_the_roll_transform(dtype):
 def _chunkings(p, dim):
     """How _passes cuts each pass on p^dim points: ("lo", partial) where one
     hi's lo rows span several chunks, ("hi", partial) where a chunk holds
-    several whole hi, partial if the pass's last chunk is short. The first
-    pass (lo = 1) takes contiguous runs of whole hi of p-wide rows, the later
-    ones (hi, lo) slabs of packed (p - 1)-wide rows."""
+    several whole hi, partial if the pass's last chunk is short. Every pass
+    takes (hi, lo) slabs of packed (p - 1)-wide rows."""
     out = set()
     for low in range(0, dim, _pass_digits(p)):
         q, lo = p ** min(_pass_digits(p), dim - low), p ** low
-        per = _CHUNK // (q * (p if low == 0 else p - 1))  # (hi, lo) pairs a chunk
+        per = _CHUNK // (q * (p - 1))  # (hi, lo) pairs a chunk
         hi = p ** dim // (q * lo)
         if lo > per:
             out.add(("lo", lo % per != 0))
@@ -264,11 +262,9 @@ def test_both_pass_dtypes_equal_the_roll_transform_across_chunk_boundaries(dtype
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_packed_rows_equal_the_roll_transform_across_many_chunk_boundaries(dtype, monkeypatch):
-    # with 2^9-entry chunks (q p <= 2^9 up to p = 19) every pass of these small
-    # domains has three chunks or more: the first pass's compaction, both
-    # through the product buffer and straight into the packed rows, each later
-    # pass, and the widening to p-wide rows, back to front in float32 and front
-    # to back in float64
+    # with 2^9-entry chunks (q (p - 1) <= 2^9 up to p = 19) every pass of these
+    # small domains has three chunks or more, and so has the widening to p-wide
+    # rows, back to front in float32 and front to back in float64
     from pbent import spectrum
 
     monkeypatch.setattr(spectrum, "_CHUNK", 1 << 9)
@@ -277,7 +273,7 @@ def test_packed_rows_equal_the_roll_transform_across_many_chunk_boundaries(dtype
         for kind in ("field", "product"):
             size = p ** (n + (kind == "product"))
             dim = n + (kind == "product")
-            assert p ** (min(_pass_digits(p), dim) + 1) <= spectrum._CHUNK < size * (p - 1) / 2
+            assert p ** min(_pass_digits(p), dim) * (p - 1) <= spectrum._CHUNK < size * (p - 1) / 2
             f = PFunction(ctx, np.random.default_rng([101, p, n]).integers(p, size=size), kind)
             assert np.array_equal(_transform(f, dtype), walsh_full_rolls(f).counts), (p, n, kind)
 
@@ -302,18 +298,22 @@ def test_size_guard_counts_eight_bytes_per_float32_entry():
     check_transform_size(53, 4)
 
 
-def test_pass_dtype_keeps_partial_sums_of_canonical_entries_exact():
-    # a partial sum of canonical entries reaches 2 p^dim, so float32 runs up to
-    # 2^23 points; the rule is tested on sizes alone, nothing is allocated
+def test_exact_float_edges_and_the_pass_dtype_of_transform_sizes():
+    assert exact_float(2 ** 24) is np.float32
+    assert exact_float(2 ** 24 + 1) is exact_float(2 ** 53) is np.float64
+    assert exact_float(2 ** 53 + 1) is None
+    # a partial sum of canonical entries reaches 2 p^dim, so the passes run in
+    # float32 up to 2^23 points; tested on sizes alone, nothing is allocated
     for size in (3 ** 14, 53 ** 4, 2 ** 23):
-        assert _pass_dtype(size) is np.float32, size
+        assert exact_float(2 * size) is np.float32, size
     for size in (2 ** 23 + 1, 5 ** 10, 3 ** 15):
-        assert _pass_dtype(size) is np.float64, size
+        assert exact_float(2 * size) is np.float64, size
 
 
 def test_size_guard_counts_the_pass_matrix():
-    # at dim 1 the pass matrix has p^3 (p - 1) entries, far more than the
-    # p^2 counts: at p = 181 its float32 entries alone take 4.27 GB
+    # at dim 1 the guard counts p^3 (p - 1) entries for the (p (p - 1))^2 pass
+    # matrix, far more than the p^2 counts: at p = 181 they alone take 4.27 GB
+    # in float32
     for p in (181, 1009, 23159):
         with pytest.raises(ValueError, match="4 GiB transform limit"):
             check_transform_size(p, 1)
@@ -330,30 +330,29 @@ def test_size_guard_bytes_cover_the_traced_peak_on_f47():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 47^3 * 46 float32 pass matrix dominates the peak
-    assert 47 ** 3 * 46 * 4 < peak <= _transform_bytes(47, 1)
+    # the (47 * 46)^2 float32 pass matrix dominates the peak
+    assert (47 * 46) ** 2 * 4 < peak <= _transform_bytes(47, 1)
 
 
 @pytest.mark.parametrize("p, d", [(3, 1), (3, 3), (5, 1), (7, 1), (11, 1)])
 def test_pass_matrix_is_the_count_matrix_in_canonical_columns(p, d):
     # [s = t + j.k mod p] with rows (k, s) and columns (j, t), each column
-    # t < p - 1 minus the column t = p - 1 of its j, rows s < width only
+    # t < p - 1 minus the column t = p - 1 of its j, rows s < p - 1 only
     digits = digit_array(p, d)
     s_t = np.subtract.outer(np.arange(p), np.arange(p))
     full = (s_t[None, :, None, :] - (digits @ digits.T)[:, None, :, None]) % p == 0
     canon = full[..., :-1].astype(np.int64) - full[..., -1:]
     for dtype in (np.float32, np.float64):
-        for width in (p, p - 1):
-            mix = _pass_matrix(p, d, dtype, width)
-            assert mix.dtype == dtype and not mix.flags.writeable
-            assert np.array_equal(mix, canon[:, :width].reshape(p ** d * width, -1))
+        mix = _pass_matrix(p, d, dtype)
+        assert mix.dtype == dtype and not mix.flags.writeable
+        assert np.array_equal(mix, canon[:, :-1].reshape(p ** d * (p - 1), -1))
 
 
 def test_pass_matrices_are_cached_up_to_81_rows():
-    assert _pass_matrix(3, 3, np.float32, 3) is _pass_matrix(3, 3, np.float32, 3)
-    assert _pass_matrix(7, 1, np.float64, 6) is _pass_matrix(7, 1, np.float64, 6)
-    # 11 * 10 rows: built per call
-    assert _pass_matrix(11, 1, np.float32, 10) is not _pass_matrix(11, 1, np.float32, 10)
+    # 27 * 2 and 7 * 6 rows: cached; 11 * 10 rows: built per call
+    assert _pass_matrix(3, 3, np.float32) is _pass_matrix(3, 3, np.float32)
+    assert _pass_matrix(7, 1, np.float64) is _pass_matrix(7, 1, np.float64)
+    assert _pass_matrix(11, 1, np.float32) is not _pass_matrix(11, 1, np.float32)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -379,7 +378,7 @@ def test_constant_functions_in_both_pass_dtypes(p, n, dtype):
 def test_walsh_full_peak_memory_stays_near_the_counts(p, n):
     # the float32 passes run in place inside the int32 counts; beside them the
     # start's block-sized index arrays, the two chunk buffers and Parseval's
-    # buffer are traced (about 1.029x the counts at 7^7 and 1.047x at 3^13)
+    # buffer are traced (about 1.024x the counts at 7^7 and 1.039x at 3^13)
     import tracemalloc
 
     f = _random_field_function(make_field(p, n), np.random.default_rng([47, p]))
@@ -416,7 +415,7 @@ def test_walsh_full_keeps_only_the_int32_counts():
 def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
     # no index or digit planes of p^dim entries and no second half-block: the
     # int32 counts the passes run in and arrays of one start block or chunk,
-    # at most 1.10x the counts (1.029x at 7^7 and 1.047x at 3^13 measured);
+    # at most 1.10x the counts (1.024x at 7^7 and 1.039x at 3^13 measured);
     # the start gathers from the table itself and makes no copy of it
     import tracemalloc
 
@@ -435,29 +434,29 @@ def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
 @pytest.mark.parametrize("p, n, kind", [(3, 13, "field"), (7, 7, "field"), (3, 10, "product"),
                                         (5, 6, "product"), (7, 5, "product")])
 def test_start_peak_memory_per_start_row(p, n, kind):
-    # beside the cube, the start holds arrays of one block of p^k <= 2^15
-    # rows: the row offsets, the digit planes and index of A y_lo, and each
-    # block's index and carry mask (38-45 bytes a row measured)
+    # beside the packed rows, the start holds arrays of one block of
+    # p^k <= 2^15 rows: the digit planes and index of A y_lo, and each block's
+    # index, carry mask and gathered table values (31-38 bytes a row measured)
     import tracemalloc
 
     size = p ** (n + (kind == "product"))
     f = PFunction(make_field(p, n), np.random.default_rng([89, p, n]).integers(p, size=size), kind)
     f.ctx.gram_inverse  # cached on the field outside the traced call
-    cube = np.zeros(size * p, dtype=np.float32)
+    packed = np.zeros(size * (p - 1), dtype=np.float32)
     rows = max(p ** k for k in range(1, f.dim) if p ** k <= 2 ** 15)
     tracemalloc.start()
     try:
-        _start(f, cube)
+        _start(f, packed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cube.sum() == size
+    assert packed.reshape(size, p - 1).any(axis=1).all()  # every row is e^h(y), never zero
     assert peak <= 60 * rows, peak / rows
 
 
 def test_float64_passes_peak_at_twice_the_counts():
     # above 2^23 points the passes run in place in a block of 8 bytes per count
-    # entry, shrunk to the int32 counts at the end (2.08x measured at 3^13)
+    # entry, shrunk to the int32 counts at the end (2.06x measured at 3^13)
     import tracemalloc
 
     f = _random_field_function(make_field(3, 13), np.random.default_rng(83))
@@ -486,9 +485,11 @@ def test_start_row_y_is_the_unit_vector_at_f_of_g_inverse_y(p, n, kind):
     x = digit_array(p, f.dim) @ f.gram().T % p  # row b: the digits of G b
     h = np.empty(f.size, dtype=np.int64)
     h[x @ p ** np.arange(f.dim)] = f.table  # h(G b) = f(b)
-    cube = np.zeros(f.size * p, dtype=np.float32)
-    _start(f, cube)
-    assert np.array_equal(cube.reshape(f.size, p), np.eye(p, dtype=np.float32)[h])
+    # e^h(y) in canonical form: the unit vector less its last entry in every column
+    unit = np.eye(p, dtype=np.float32)[h]
+    packed = np.full(f.size * (p - 1), np.nan, dtype=np.float32)  # every entry is written
+    _start(f, packed)
+    assert np.array_equal(packed.reshape(f.size, p - 1), unit[:, :-1] - unit[:, -1:])
 
 
 def test_walsh_full_builds_no_domain_sized_index(monkeypatch):
