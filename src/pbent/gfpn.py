@@ -85,7 +85,7 @@ def digit_planes(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def exact_float(bound: int):
-    """The narrower float dtype that holds every integer up to bound in
+    """The narrowest float dtype that holds every integer up to bound in
     magnitude exactly: float32 up to 2^24, float64 up to 2^53, None above
     (an int64 path)."""
     if bound <= 2 ** 24:

@@ -338,9 +338,10 @@ def _start(f: PFunction, packed: np.ndarray) -> None:
     G^-1 y = u + v for u = A y_lo (digit planes built once) and v = B y_hi
     (a digit vector per block) over the k low and m - k high digits of y,
     and digit-wise mod p idx(u + v) = idx(u) + idx(v) - sum_i p^(i+1)
-    [u_i + v_i >= p]. PFunction keeps f.table below p, so np.take runs with
-    mode="clip", which writes straight into out (the default "raise"
-    buffers it)."""
+    [u_i + v_i >= p]. The gathered values go back into the int64 index, so
+    np.take makes no intp copy of them; PFunction keeps them below p, so it
+    runs with mode="clip", which writes straight into out (the default
+    "raise" buffers it)."""
     p, m = f.p, f.dim
     k = max(j for j in range(1, m + 1) if j == 1 or p ** j <= 2 ** 15)
     ginv = f._on_domain(f.ctx.gram_inverse)
@@ -349,7 +350,8 @@ def _start(f: PFunction, packed: np.ndarray) -> None:
     blocks = packed.reshape(-1, p ** k, p - 1)
     if k == m:
         x = np.einsum("i,ij->j", p ** np.arange(m), digit_planes(ginv, p))
-        np.take(unit, f.table[x], axis=0, out=blocks[0], mode="clip")
+        x[:] = f.table[x]
+        np.take(unit, x, axis=0, out=blocks[0], mode="clip")
         return
     lo, w = digit_planes(ginv[:, :k], p), p ** np.arange(m)
     base = np.einsum("i,ij->j", w, lo)
@@ -357,7 +359,8 @@ def _start(f: PFunction, packed: np.ndarray) -> None:
         x = base + w @ v
         for i in np.flatnonzero(v):
             np.subtract(x, p * w[i], out=x, where=lo[i] >= p - v[i])
-        np.take(unit, f.table[x], axis=0, out=block, mode="clip")
+        x[:] = f.table[x]
+        np.take(unit, x, axis=0, out=block, mode="clip")
 
 
 def _check_parseval(spec: WalshSpectrum) -> None:

@@ -436,7 +436,7 @@ def test_walsh_full_peak_is_the_counts_and_the_table_copy(p, n):
 def test_start_peak_memory_per_start_row(p, n, kind):
     # beside the packed rows, the start holds arrays of one block of
     # p^k <= 2^15 rows: the digit planes and index of A y_lo, and each block's
-    # index, carry mask and gathered table values (31-38 bytes a row measured)
+    # index, carry mask and gathered table values (30-37 bytes a row measured)
     import tracemalloc
 
     size = p ** (n + (kind == "product"))
