@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -138,6 +139,20 @@ def test_shape_roundtrip_all_small():
                 for j in range(p):
                     shape = ValueShape(p, sign, j, mag)
                     assert match_shape(shape.to_cyc_int(), mag) == shape
+
+
+def test_shape_zeta_is_the_unit_left_by_the_magnitude_and_root():
+    # value^2 = zeta^2 p^mag e^(2j): zeta is i or -i only where an odd power of
+    # the Gauss sum of p = 3 mod 4 enters, and carries the shape's sign
+    assert ValueShape(3, -1, 2, 9).zeta == "-i"
+    assert ValueShape(5, -1, 2, 9).zeta == ValueShape(3, -1, 2, 8).zeta == "-1"
+    for p in (3, 5, 7, 13):
+        for sign, j, mag in itertools.product((1, -1), range(p), range(1, 5)):
+            shape = ValueShape(p, sign, j, mag)
+            w = shape.to_cyc_int()
+            zeta_sq = -1 if shape.zeta.endswith("i") else 1
+            assert w * w == CycInt.root_power(p, 2 * j) * (zeta_sq * p ** mag), shape
+            assert shape.zeta.startswith("-") == (sign == -1), shape
 
 
 def test_to_cyc_int_magnitude():

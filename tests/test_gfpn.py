@@ -11,6 +11,7 @@ from pbent.gfpn import (
     Reducible,
     ZeroBeta,
     digit_array,
+    exact_float,
     field_from_json,
     field_to_json,
     invert_matrix,
@@ -155,6 +156,12 @@ def test_largest_field_of_characteristic_3():
     assert ctx.trace(ctx.frobenius(top, 7)) == ctx.trace(top)
     b = solve_trace_equation(ctx, top, 2)
     assert ctx.trace(ctx.mul(b, top)) == 2
+
+
+def test_exact_float_edges():
+    assert exact_float(1) is exact_float(2 ** 24) is np.float32
+    assert exact_float(2 ** 24 + 1) is exact_float(2 ** 53) is np.float64
+    assert exact_float(2 ** 53 + 1) is None
 
 
 def test_make_field_is_cached():

@@ -298,10 +298,7 @@ def test_size_guard_counts_eight_bytes_per_float32_entry():
     check_transform_size(53, 4)
 
 
-def test_exact_float_edges_and_the_pass_dtype_of_transform_sizes():
-    assert exact_float(2 ** 24) is np.float32
-    assert exact_float(2 ** 24 + 1) is exact_float(2 ** 53) is np.float64
-    assert exact_float(2 ** 53 + 1) is None
+def test_pass_dtype_keeps_partial_sums_of_canonical_entries_exact():
     # a partial sum of canonical entries reaches 2 p^dim, so the passes run in
     # float32 up to 2^23 points; tested on sizes alone, nothing is allocated
     for size in (3 ** 14, 53 ** 4, 2 ** 23):
